@@ -1,118 +1,48 @@
-"""Hot numeric kernels: numba-compiled loops with a pure-numpy fallback.
+"""Dense numpy kernels under every product in the package.
 
 Every dense product in the package (forward passes, backprop, benchmarks)
-bottoms out in one of the five kernels below.  The backend is picked once at
-import time: numba when it is importable and ``CRPNN_NUMBA`` is unset/truthy,
-numpy otherwise.  ``benchmarks/compare_backends.py`` times the two paths
-against each other.
+bottoms out in one of the five kernels below.  Each takes an optional
+keyword-only ``out`` array of the result's shape, writes the result there
+and returns it; without ``out`` it allocates the result.  ``out`` must not
+overlap an operand, except that the elementwise ``hadamard`` may write over
+either of its operands.
 
 All kernels expect C-contiguous float64 arrays; the validated wrappers in
 :mod:`crpnn.linalg` guarantee that.
 """
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only where numba is absent
-    HAVE_NUMBA = False
+def matmul(a, b, *, out=None):
+    return np.matmul(a, b, out=out)
 
 
-def _env_flag(name, default="1"):
-    return os.environ.get(name, default).strip().lower() not in ("0", "false", "off", "no")
+def matmul_nt(a, b, *, out=None):
+    """a @ b.T"""
+    return np.matmul(a, b.T, out=out)
 
 
-def matmul_numpy(a, b):
-    return a @ b
+def matmul_tn(a, b, *, out=None):
+    """a.T @ b"""
+    return np.matmul(a.T, b, out=out)
 
 
-def matmul_nt_numpy(a, b):
-    return a @ b.T
+def hadamard(a, b, *, out=None):
+    return np.multiply(a, b, out=out)
 
 
-def matmul_tn_numpy(a, b):
-    return a.T @ b
-
-
-def hadamard_numpy(a, b):
-    return a * b
-
-
-def power_numpy(x, c):
+def power(x, c, *, out=None):
     # c-1 successive elementwise products, never pow()
-    out = x.copy()
+    if out is None:
+        out = x.copy()
+    else:
+        np.copyto(out, x)
     for _ in range(c - 1):
-        out = out * x
+        np.multiply(out, x, out=out)
     return out
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def matmul_numba(a, b):
-        out = np.zeros((a.shape[0], b.shape[1]))
-        for i in range(a.shape[0]):
-            for k in range(a.shape[1]):
-                aik = a[i, k]
-                for j in range(b.shape[1]):
-                    out[i, j] += aik * b[k, j]
-        return out
-
-    @njit(cache=True)
-    def matmul_nt_numba(a, b):
-        # a @ b.T with both operands walked row-contiguously
-        out = np.empty((a.shape[0], b.shape[0]))
-        for i in range(a.shape[0]):
-            for j in range(b.shape[0]):
-                acc = 0.0
-                for k in range(a.shape[1]):
-                    acc += a[i, k] * b[j, k]
-                out[i, j] = acc
-        return out
-
-    @njit(cache=True)
-    def matmul_tn_numba(a, b):
-        # a.T @ b
-        out = np.zeros((a.shape[1], b.shape[1]))
-        for k in range(a.shape[0]):
-            for i in range(a.shape[1]):
-                aki = a[k, i]
-                for j in range(b.shape[1]):
-                    out[i, j] += aki * b[k, j]
-        return out
-
-    @njit(cache=True)
-    def hadamard_numba(a, b):
-        return a * b
-
-    @njit(cache=True)
-    def power_numba(x, c):
-        out = x.copy()
-        for _ in range(c - 1):
-            out = out * x
-        return out
-
-
-USE_NUMBA = HAVE_NUMBA and _env_flag("CRPNN_NUMBA")
-
-if USE_NUMBA:
-    matmul = matmul_numba
-    matmul_nt = matmul_nt_numba
-    matmul_tn = matmul_tn_numba
-    hadamard = hadamard_numba
-    power = power_numba
-else:
-    matmul = matmul_numpy
-    matmul_nt = matmul_nt_numpy
-    matmul_tn = matmul_tn_numpy
-    hadamard = hadamard_numpy
-    power = power_numpy
-
-
 def backend_name():
-    """Name of the kernel backend selected at import time."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"

@@ -4,7 +4,9 @@ Matrices are 2-D C-contiguous float64 arrays, column vectors 1-D ones.  All
 network math flows through the operations here, so an instrumented multiply
 count is a count of the code that actually ran: counting is an optional
 argument on each operation, not a separate code path.  Pass a
-:class:`MultiplyCounter` to accumulate, leave it ``None`` to skip.
+:class:`MultiplyCounter` to accumulate, leave it ``None`` to skip.  The
+products also take an ``out`` array to write into, as the kernels in
+:mod:`crpnn.kernels` do; it changes where the result goes, not the count.
 """
 
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ def check_finite(arr, name="array"):
     return arr
 
 
-def matmul(a, b, counter=None):
+def matmul(a, b, counter=None, out=None):
     """Matrix product a @ b; b may be a matrix or a column vector.
 
     Counts a.rows * a.cols * b.cols scalar multiplications.
@@ -52,12 +54,13 @@ def matmul(a, b, counter=None):
     if b.ndim == 1:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"cannot multiply {a.shape} by vector of dim {b.shape[0]}")
-        out = kernels.matmul(a, b.reshape(-1, 1)).ravel()
+        col = None if out is None else out.reshape(-1, 1)
+        out = kernels.matmul(a, b.reshape(-1, 1), out=col).ravel()
         cols = 1
     elif b.ndim == 2:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-        out = kernels.matmul(a, b)
+        out = kernels.matmul(a, b, out=out)
         cols = b.shape[1]
     else:
         raise ShapeError(f"right operand must be 1- or 2-dimensional, got shape {b.shape}")
@@ -66,7 +69,7 @@ def matmul(a, b, counter=None):
     return out
 
 
-def hadamard(a, b, counter=None):
+def hadamard(a, b, counter=None, out=None):
     """Elementwise product of two same-shape vectors or matrices.
 
     Counts one multiplication per entry.
@@ -75,13 +78,13 @@ def hadamard(a, b, counter=None):
     b = as_array(b)
     if a.shape != b.shape:
         raise ShapeError(f"hadamard operands differ in shape: {a.shape} vs {b.shape}")
-    out = kernels.hadamard(a, b)
+    out = kernels.hadamard(a, b, out=out)
     if counter is not None:
         counter.add(a.size)
     return out
 
 
-def elementwise_power(v, c, counter=None):
+def elementwise_power(v, c, counter=None, out=None):
     """Raise every entry to the c-th power via c-1 successive Hadamard products.
 
     Counts (c-1) * v.size multiplications; c must be a positive integer (the
@@ -90,7 +93,7 @@ def elementwise_power(v, c, counter=None):
     if int(c) != c or c < 1:
         raise ValueError(f"power must be a positive integer, got {c!r}")
     v = as_array(v)
-    out = kernels.power(v, int(c))
+    out = kernels.power(v, int(c), out=out)
     if counter is not None:
         counter.add((int(c) - 1) * v.size)
     return out

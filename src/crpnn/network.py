@@ -121,40 +121,46 @@ def init_weights(spec, seed, scale=None):
 def _forward_cols(model, xcols, counter=None, want_cache=False):
     """Batched forward pass; samples are columns of ``xcols`` (n x K).
 
-    With ``want_cache`` also returns the bias-augmented input, the expanded
-    power of it (CR-PNN II only) and every layer input, which is exactly what
-    backprop needs.
+    X~ is built once, and every hidden layer writes its product and then its
+    Hadamard gate into one (n+1) x K slot allocated for this call.  Without
+    ``want_cache`` the layers alternate between two slots (CR-PNN II keeps
+    X~^c in the second until layer 1 overwrites it) and only the fresh
+    m x K output survives the call.  With ``want_cache`` layer i keeps slot i
+    of a (hidden, n+1, K) block, and the call also returns X~, X~^c (CR-PNN
+    II only, else None) and the list of layer inputs [X~, slot 0, ...], which
+    is exactly what backprop needs.  Callers run it under ``np.errstate``
+    so that overflow yields inf/nan, not a warning, and check the result
+    where they need it finite.
     """
     spec = model.spec
     if xcols.shape[0] != spec.n:
         raise ShapeError(
             f"model expects {spec.n} input rows, got {xcols.shape[0]}"
         )
+    weights = model.weights
     xa = augment_cols(xcols)
-    acts = [xa]  # acts[i] is the input consumed by weights[i]
+    slots = np.empty((len(weights) - 1 if want_cache else 2,) + xa.shape)
+    xc = None
     if spec.variant == CRPNN2:
-        xc = elementwise_power(xa, spec.plan.power, counter)
-        a = hadamard(matmul(model.weights[0], xa, counter), xc, counter)
-        acts.append(a)
-        for w in model.weights[1:-1]:
-            a = hadamard(matmul(w, a, counter), xa, counter)
-            acts.append(a)
-    else:
-        xc = None
-        a = xa
-        for w in model.weights[:-1]:
-            a = hadamard(matmul(w, a, counter), xa, counter)
-            acts.append(a)
-    y = matmul(model.weights[-1], acts[-1], counter)
+        xc = elementwise_power(
+            xa, spec.plan.power, counter, out=None if want_cache else slots[1]
+        )
+    a = xa
+    for i, w in enumerate(weights[:-1]):
+        gate = xc if i == 0 and xc is not None else xa
+        out = slots[i % len(slots)]
+        a = hadamard(matmul(w, a, counter, out=out), gate, counter, out=out)
+    y = matmul(weights[-1], a, counter)
     if want_cache:
-        return y, xa, xc, acts
+        return y, xa, xc, [xa, *slots]
     return y
 
 
 def forward(model, x, counter=None):
     """Single-sample forward pass; returns the m-dimensional output vector."""
     x = as_array(x, 1, "input vector")
-    return _forward_cols(model, x.reshape(-1, 1), counter).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _forward_cols(model, x.reshape(-1, 1), counter).ravel()
 
 
 def forward_crpnn1(model, x, counter=None):
@@ -172,7 +178,8 @@ def forward_crpnn2(model, x, counter=None):
 def predict_batch(model, xs, counter=None):
     """Forward pass over an n x K matrix of column samples; returns m x K."""
     xs = as_array(xs, 2, "input matrix")
-    return _forward_cols(model, xs, counter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _forward_cols(model, xs, counter)
 
 
 def save_model(model):

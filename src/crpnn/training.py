@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import ShapeError, as_array
-from .network import CRPNN2, predict_batch, _forward_cols
+from .network import predict_batch, _forward_cols
 
 DIVERGENCE_CEILING = 1e12
 GRAD_CHECK_MAX_PARAMS = 2000
@@ -97,31 +97,39 @@ def backward(model, inputs, targets):
     """Gradients of the internal loss w.r.t. every weight matrix.
 
     Returns one gradient matrix per weight, shape-congruent with the model.
+    The output seed is formed in place in the forward output, and the error
+    of each hidden layer is written into the forward cache slot that held
+    that layer's output, which its own gradient has already read: the pass
+    allocates nothing beyond the forward cache and the gradients, and no
+    product writes over its own operand.  The gate Hadamard and the 1/B
+    scaling run in place.  Overflow raises FloatingPointError, not a warning.
     """
     inputs = as_array(inputs, 2, "batch inputs")
     targets = as_array(targets, 2, "batch targets")
     _check_batch(model, inputs, targets)
     batch = inputs.shape[1]
 
-    y, xa, xc, acts = _forward_cols(model, inputs, want_cache=True)
-    if not np.isfinite(y).all():
-        raise FloatingPointError(
-            "forward pass overflowed (non-finite activations); "
-            "scale inputs to [-1, 1] before training"
-        )
     weights = model.weights
     grads = [None] * len(weights)
     inv_batch = 1.0 / batch
 
-    d_act = y - targets
-    grads[-1] = kernels.matmul_nt(d_act, acts[-1]) * inv_batch
-    d_act = kernels.matmul_tn(weights[-1], d_act)
-    for i in range(len(weights) - 2, -1, -1):
-        gate = xc if (model.spec.variant == CRPNN2 and i == 0) else xa
-        d_pre = kernels.hadamard(d_act, gate)
-        grads[i] = kernels.matmul_nt(d_pre, acts[i]) * inv_batch
-        if i > 0:
-            d_act = kernels.matmul_tn(weights[i], d_pre)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, xa, xc, acts = _forward_cols(model, inputs, want_cache=True)
+        if not np.isfinite(y).all():
+            raise FloatingPointError(
+                "forward pass overflowed (non-finite activations); "
+                "scale inputs to [-1, 1] before training"
+            )
+        d_pre = np.subtract(y, targets, out=y)
+        grads[-1] = kernels.matmul_nt(d_pre, acts[-1])
+        for i in range(len(weights) - 2, -1, -1):
+            # d_pre sits in acts[i + 2] (or y); acts[i + 1] is no longer needed
+            d_pre = kernels.matmul_tn(weights[i + 1], d_pre, out=acts[i + 1])
+            gate = xc if i == 0 and xc is not None else xa
+            kernels.hadamard(d_pre, gate, out=d_pre)
+            grads[i] = kernels.matmul_nt(d_pre, acts[i])
+        for g in grads:
+            g *= inv_batch
 
     for idx, g in enumerate(grads):
         if not np.isfinite(g).all():
@@ -179,7 +187,9 @@ def train(model, dataset, config, metrics_path=None):
             else:
                 grads = backward(model, inputs, targets)
                 sgd_step(model, grads, lr)
-            mse = loss_mse(predict_batch(model, inputs), targets)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # a diverging model overflows here; the ceiling check reports it
+                mse = loss_mse(predict_batch(model, inputs), targets)
             record.mse_per_epoch.append(mse)
             record.epochs_run = epoch + 1
             if metrics_file:

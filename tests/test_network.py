@@ -8,6 +8,7 @@ from crpnn.network import (
     CrpnnModel,
     ModelFormatError,
     NetworkSpec,
+    _forward_cols,
     forward,
     forward_crpnn1,
     forward_crpnn2,
@@ -216,3 +217,72 @@ def test_spectrum_forward_agreement_random_models():
                 y_net = forward(model, x)
                 y_poly = evaluate_spectrum(spectrum, x)
                 assert abs(y_net[0] - y_poly[0]) / (1 + abs(y_net[0])) < 1e-9
+
+
+# Engine specs with odd and even hidden-layer counts: CR-PNN I orders 4 and 5
+# (3 and 4), CR-PNN II n=2 order 7 and n=3 order 7 / n=2 order 8 (3 and 4).
+ENGINE_SPECS = [
+    (CRPNN1, 2, 1, 1),
+    (CRPNN1, 2, 1, 4),
+    (CRPNN1, 2, 1, 5),
+    (CRPNN2, 2, 2, 7),
+    (CRPNN2, 3, 1, 7),
+    (CRPNN2, 2, 1, 8),
+]
+
+
+def reference_forward(model, xs):
+    """Allocate-per-op forward pass: output, X~, X~^c and every layer input."""
+    xa = np.vstack([xs, np.ones((1, xs.shape[1]))])
+    xc = None
+    if model.spec.variant == CRPNN2:
+        xc = xa.copy()
+        for _ in range(model.spec.plan.power - 1):
+            xc = xc * xa
+    acts = [xa]
+    for i, w in enumerate(model.weights[:-1]):
+        acts.append((w @ acts[-1]) * (xc if i == 0 and xc is not None else xa))
+    return model.weights[-1] @ acts[-1], xa, xc, acts
+
+
+@pytest.mark.parametrize("cols", [1, 33])
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_forward_is_bit_identical_to_allocating_reference(sizing, cols):
+    model = init_weights(NetworkSpec.create(*sizing), seed=4)
+    xs = np.random.default_rng(cols).uniform(-1, 1, size=(sizing[1], cols))
+    y_ref, xa_ref, xc_ref, acts_ref = reference_forward(model, xs)
+    np.testing.assert_array_equal(predict_batch(model, xs), y_ref)
+    single = reference_forward(model, xs[:, :1])[0].ravel()
+    np.testing.assert_array_equal(forward(model, xs[:, 0]), single)
+    y, xa, xc, acts = _forward_cols(model, xs, want_cache=True)
+    np.testing.assert_array_equal(y, y_ref)
+    np.testing.assert_array_equal(xa, xa_ref)
+    if xc_ref is None:
+        assert xc is None
+    else:
+        np.testing.assert_array_equal(xc, xc_ref)
+    assert len(acts) == len(acts_ref)
+    for a, a_ref in zip(acts, acts_ref):
+        np.testing.assert_array_equal(a, a_ref)
+
+
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_successive_predictions_do_not_share_memory(sizing):
+    model = init_weights(NetworkSpec.create(*sizing), seed=2)
+    xs = np.random.default_rng(0).uniform(-1, 1, size=(sizing[1], 9))
+    first = predict_batch(model, xs)
+    kept = first.copy()
+    second = predict_batch(model, 0.5 * xs)
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, kept)
+
+
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_forward_leaves_caller_input_unmodified(sizing):
+    model = init_weights(NetworkSpec.create(*sizing), seed=2)
+    xs = np.random.default_rng(0).uniform(-1, 1, size=(sizing[1], 9))
+    before = xs.copy()
+    predict_batch(model, xs)
+    forward(model, xs[:, 3])
+    _forward_cols(model, xs, want_cache=True)
+    np.testing.assert_array_equal(xs, before)

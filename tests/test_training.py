@@ -209,3 +209,67 @@ def test_lr_decay_changes_trajectory():
         )
         trajectories.append(record.mse_per_epoch)
     assert trajectories[0] != trajectories[1]
+
+
+# Odd and even hidden-layer counts for both variants (see test_network.py),
+# CR-PNN I order 1 (no hidden layer) and a two-output CR-PNN II.
+ENGINE_SPECS = [
+    (CRPNN1, 2, 1, 1),
+    (CRPNN1, 2, 1, 4),
+    (CRPNN1, 2, 1, 5),
+    (CRPNN2, 2, 2, 7),
+    (CRPNN2, 3, 1, 7),
+    (CRPNN2, 2, 1, 8),
+]
+
+
+def reference_backward(model, xs, ts):
+    """Allocate-per-op forward and backward passes, one fresh array per op."""
+    xa = np.vstack([xs, np.ones((1, xs.shape[1]))])
+    gates = [xa] * (len(model.weights) - 1)
+    if model.spec.variant == CRPNN2:
+        xc = xa.copy()
+        for _ in range(model.spec.plan.power - 1):
+            xc = xc * xa
+        gates[0] = xc
+    acts = [xa]
+    for w, gate in zip(model.weights[:-1], gates):
+        acts.append((w @ acts[-1]) * gate)
+    inv_batch = 1.0 / xs.shape[1]
+    d_act = model.weights[-1] @ acts[-1] - ts
+    grads = [(d_act @ acts[-1].T) * inv_batch]
+    for i in range(len(model.weights) - 2, -1, -1):
+        d_act = (model.weights[i + 1].T @ d_act) * gates[i]
+        grads.insert(0, (d_act @ acts[i].T) * inv_batch)
+    return grads
+
+
+@pytest.mark.parametrize("cols", [1, 32, 37])
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_backward_is_bit_identical_to_allocating_reference(sizing, cols):
+    model = init_weights(NetworkSpec.create(*sizing), seed=6)
+    rng = np.random.default_rng(cols)
+    xs = rng.uniform(-1, 1, size=(sizing[1], cols))
+    ts = rng.uniform(-1, 1, size=(sizing[2], cols))
+    grads = backward(model, xs, ts)
+    expected = reference_backward(model, xs, ts)
+    assert len(grads) == len(expected)
+    for g, g_ref in zip(grads, expected):
+        np.testing.assert_array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_backward_leaves_caller_arrays_unmodified(sizing):
+    model = init_weights(NetworkSpec.create(*sizing), seed=6)
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(-1, 1, size=(sizing[1], 11))
+    ts = rng.uniform(-1, 1, size=(sizing[2], 11))
+    before = [xs.copy(), ts.copy()] + [w.copy() for w in model.weights]
+    first = backward(model, xs, ts)
+    kept = [g.copy() for g in first]
+    second = backward(model, xs, ts)
+    for arr, orig in zip([xs, ts] + model.weights, before):
+        np.testing.assert_array_equal(arr, orig)
+    for g, g_again, g_kept in zip(first, second, kept):
+        assert not np.shares_memory(g, g_again)
+        np.testing.assert_array_equal(g, g_kept)
