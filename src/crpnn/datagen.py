@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ShapeError, as_array, check_finite
-from .spectrum import RelationSpectrum, evaluate_spectrum_cols
+from .spectrum import RelationSpectrum, _graded_exponents, evaluate_spectrum_cols
 
 SINE_INPUT_DIM = 5
 MAX_MONOMIAL_UNIVERSE = 2 * 10 ** 6
@@ -83,16 +83,6 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-def _monomials_up_to(n, degree):
-    """All exponent tuples of n variables with total degree <= degree."""
-    if n == 1:
-        return [(d,) for d in range(degree + 1)]
-    out = []
-    for d in range(degree + 1):
-        out.extend(e + (d,) for e in _monomials_up_to(n - 1, degree - d))
-    return out
-
-
 def gen_random_polynomial(n, max_degree, n_items, coeff_low=-1.0, coeff_high=1.0, seed=0):
     """Sample n_items distinct monomials of total degree <= max_degree.
 
@@ -119,11 +109,12 @@ def gen_random_polynomial(n, max_degree, n_items, coeff_low=-1.0, coeff_high=1.0
             f"monomial universe {universe_size} exceeds the generator bound "
             f"{MAX_MONOMIAL_UNIVERSE}"
         )
-    universe = _monomials_up_to(n, max_degree)
+    basis = _graded_exponents(n, max_degree)
+    universe = basis[np.lexsort(basis.T)]  # last exponent varies slowest
     rng = np.random.default_rng(seed)
     while True:
         picks = rng.choice(universe_size, size=n_items, replace=False)
-        monomials = [universe[i] for i in picks]
+        monomials = [tuple(e) for e in universe[picks].tolist()]
         if max_degree and not any(sum(e) == max_degree for e in monomials):
             continue
         coeffs = rng.uniform(coeff_low, coeff_high, size=n_items)

@@ -3,16 +3,19 @@
 A relation spectrum is the explicit multivariate polynomial a network
 computes, one sparse coefficient map per output: keys are exponent tuples of
 length n (one non-negative integer per input variable), values are real
-coefficients.  It is obtained by propagating a vector of sparse polynomials
-through the layers, not by sampling and refitting, so forward evaluation and
-spectrum evaluation agree to floating-point accuracy.
+coefficients.  It is obtained by propagating polynomials through the layers,
+not by sampling and refitting, so forward evaluation and spectrum evaluation
+agree to floating-point accuracy.
 
-Propagation rules per layer, with the bias coordinate in the last position:
-
-* a linear map acts on the coefficient maps directly;
-* Hadamard with the augmented input multiplies coordinate j's polynomial by
-  x_j (bias coordinate untouched);
-* the expanded layer multiplies coordinate j by x_j^c instead.
+Coordinate j's polynomial (bias coordinate last) is row j of a dense
+(n+1) x M block over the M = C(n+L, n) monomials of degree <= L, in graded
+order: total degree, then lexicographic, as in the CSV export.  A linear map
+combines rows, adding input rows in order and skipping zero weights, so the
+sums are those of a term-by-term expansion bit for bit; Hadamard with the
+augmented input (x_j^c for the expanded layer) scatters row j's columns.
+Monomials of degree <= d form a prefix, so a layer of degree d touches only
+C(n+d, n) columns.  Two blocks serve all layers, 16(n+1)M bytes; the guard
+refuses (n+1)M > MAX_DENSE_ENTRIES.
 
 Canonical form: no stored coefficient is exactly zero, and coefficients
 below 1e-14 of the output's largest magnitude (float dust from cancellation)
@@ -30,7 +33,7 @@ import numpy as np
 from .linalg import ShapeError, as_array
 from .network import CRPNN2
 
-MAX_DENSE_MONOMIALS = 10 ** 6
+MAX_DENSE_ENTRIES = 6 * 10 ** 6
 CANONICAL_REL_EPS = 1e-14
 SUPPORT_THRESHOLD = 1e-9
 
@@ -39,7 +42,7 @@ CSV_COEFF_COL = "coefficient"
 
 
 class SpectrumSizeError(ValueError):
-    """Dense monomial bound exceeds the expansion guard."""
+    """Dense coefficient block exceeds the expansion guard."""
 
 
 class SpectrumFormatError(ValueError):
@@ -71,77 +74,82 @@ class RelationSpectrum:
         return self.terms[output].get(tuple(exponents), 0.0)
 
 
-def _canonical(poly):
-    if not poly:
-        return {}
-    top = max(abs(c) for c in poly.values())
+def _graded_exponents(n, degree):
+    """Exponent rows of every monomial in n variables of total degree <= degree.
+
+    Rows are sorted by total degree, then lexicographically: the order of the
+    CSV export, in which the monomials of degree <= d form a prefix.
+    """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n):
+        counts = degree - rows.sum(axis=1) + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.repeat(rows, counts, axis=0)
+        rows = np.column_stack([rows, np.arange(len(rows)) - starts])
+    return rows[np.lexsort((*rows.T[::-1], rows.sum(axis=1)))]
+
+
+def _shift_map(basis, amount):
+    """Per j, the row of e + amount * unit_j for each row e of degree <= L - amount.
+
+    The shift keeps graded order and maps those rows onto the rows with
+    e_j >= amount, so it sends the k-th of the one to the k-th of the other.
+    """
+    return np.stack([np.flatnonzero(col >= amount) for col in basis.T]).astype(np.int32)
+
+
+def _accumulate(weights, rows, out):
+    """out = sum_j weights[j] * rows[j], added in j order, zero weights skipped."""
+    out[:] = 0.0
+    for j in np.flatnonzero(weights):
+        out += weights[j] * rows[j]
+
+
+def _canonical(row, basis):
+    """Sparse map of a dense coefficient row, without zeros and float dust."""
+    mags = np.abs(row)
+    top = mags.max()
     if top == 0.0:
         return {}
-    floor = CANONICAL_REL_EPS * top
-    return {e: c for e, c in poly.items() if abs(c) >= floor and c != 0.0}
-
-
-def _linear(weight, polys):
-    """Apply a weight matrix to a vector of sparse polynomials."""
-    out = []
-    for i in range(weight.shape[0]):
-        acc = {}
-        for j in range(weight.shape[1]):
-            wij = weight[i, j]
-            if wij == 0.0:
-                continue
-            for exps, coef in polys[j].items():
-                v = acc.get(exps, 0.0) + wij * coef
-                if v == 0.0:
-                    acc.pop(exps, None)
-                else:
-                    acc[exps] = v
-        out.append(acc)
-    return out
-
-
-def _shift(poly, var, amount, n):
-    """Multiply a coordinate polynomial by x_var^amount (bias coordinate: identity)."""
-    if var == n or amount == 0:
-        return poly
-    out = {}
-    for exps, coef in poly.items():
-        e = list(exps)
-        e[var] += amount
-        out[tuple(e)] = coef
-    return out
+    keep = np.flatnonzero((mags >= CANONICAL_REL_EPS * top) & (row != 0.0))
+    return dict(zip(map(tuple, basis[keep].tolist()), row[keep].tolist()))
 
 
 def expand_to_spectrum(model):
     """Expand a model into the exact polynomial it computes per output."""
     spec = model.spec
     n = spec.n
-    bound = math.comb(n + spec.order, n)
-    if bound > MAX_DENSE_MONOMIALS:
+    size = math.comb(n + spec.order, n)
+    if (n + 1) * size > MAX_DENSE_ENTRIES:
         raise SpectrumSizeError(
-            f"dense monomial bound C(n+L, n) = {bound} exceeds the expansion "
-            f"guard of {MAX_DENSE_MONOMIALS}"
+            f"dense block (n+1) * C(n+L, n) = {(n + 1) * size} exceeds the "
+            f"expansion guard of {MAX_DENSE_ENTRIES} entries"
         )
-    zero = (0,) * n
-    polys = []
-    for j in range(n):
-        unit = list(zero)
-        unit[j] = 1
-        polys.append({tuple(unit): 1.0})
-    polys.append({zero: 1.0})  # bias coordinate
-
+    basis = _graded_exponents(n, spec.order)
+    amounts = [1] * (len(model.weights) - 1)
     if spec.variant == CRPNN2:
-        c = spec.plan.power
-        polys = _linear(model.weights[0], polys)
-        polys = [_shift(p, j, c, n) for j, p in enumerate(polys)]
-        hidden = model.weights[1:-1]
-    else:
-        hidden = model.weights[:-1]
-    for w in hidden:
-        polys = _linear(w, polys)
-        polys = [_shift(p, j, 1, n) for j, p in enumerate(polys)]
-    outputs = _linear(model.weights[-1], polys)
-    return RelationSpectrum(n=n, m=spec.m, terms=tuple(_canonical(p) for p in outputs))
+        amounts[0] = spec.plan.power
+    shifts = {a: _shift_map(basis, a) for a in set(amounts)}
+    coeffs = np.zeros((n + 1, size))  # layer inputs, bias coordinate last
+    mixed = np.empty((n + 1, size))   # linear-map outputs
+    coeffs[:n, 1:n + 1] = basis[1:n + 1].T  # the degree-1 rows are the x_j
+    coeffs[n, 0] = 1.0
+    live, degree = n + 1, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, amount in zip(model.weights, amounts):
+            for i in range(n + 1):
+                _accumulate(w[i], coeffs[:, :live], mixed[i, :live])
+            degree += amount
+            grown = math.comb(n + degree, n)
+            coeffs[:, :grown] = 0.0
+            coeffs[n, :live] = mixed[n, :live]
+            coeffs[np.arange(n)[:, None], shifts[amount][:, :live]] = mixed[:n, :live]
+            live = grown
+        terms = []
+        for w in model.weights[-1]:
+            _accumulate(w, coeffs[:, :live], mixed[0, :live])
+            terms.append(_canonical(mixed[0, :live], basis))
+    return RelationSpectrum(n=n, m=spec.m, terms=tuple(terms))
 
 
 def _power_tables(x, max_exps):

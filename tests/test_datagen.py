@@ -14,7 +14,33 @@ from crpnn.datagen import (
     write_dataset_csv,
 )
 from crpnn.linalg import ShapeError
-from crpnn.spectrum import RelationSpectrum
+from crpnn.spectrum import RelationSpectrum, _graded_exponents
+
+
+def recursive_monomials(n, degree):
+    """Reference enumeration: the last exponent varies slowest."""
+    if n == 1:
+        return [(d,) for d in range(degree + 1)]
+    out = []
+    for d in range(degree + 1):
+        out.extend(e + (d,) for e in recursive_monomials(n - 1, degree - d))
+    return out
+
+
+@pytest.mark.parametrize("n, degree", [(1, 0), (1, 5), (2, 6), (3, 4), (5, 14), (5, 20)])
+def test_lexsorted_basis_is_the_generator_universe(n, degree):
+    # the generator draws by index into this enumeration, so its order fixes
+    # which monomials a seed picks
+    basis = _graded_exponents(n, degree)
+    universe = [tuple(e) for e in basis[np.lexsort(basis.T)].tolist()]
+    assert universe == recursive_monomials(n, degree)
+
+
+def test_generator_draws_by_index_into_the_universe():
+    target = gen_random_polynomial(3, 4, 6, seed=0)
+    picks = np.random.default_rng(0).choice(math.comb(3 + 4, 3), size=6, replace=False)
+    assert list(target.spectrum.terms[0]) == [recursive_monomials(3, 4)[i] for i in picks]
+    assert all(type(e) is int for key in target.spectrum.terms[0] for e in key)
 
 
 @pytest.mark.parametrize("items", [2772, 4737])

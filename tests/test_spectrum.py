@@ -1,12 +1,21 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crpnn.linalg import ShapeError
 from crpnn.network import CRPNN1, CRPNN2, CrpnnModel, NetworkSpec, forward, init_weights
 from crpnn.spectrum import (
+    CANONICAL_REL_EPS,
     RelationSpectrum,
     SpectrumFormatError,
     SpectrumSizeError,
+    _graded_exponents,
+    _shift_map,
     compare_spectra,
     evaluate_spectrum,
     evaluate_spectrum_cols,
@@ -14,6 +23,113 @@ from crpnn.spectrum import (
     export_spectrum,
     import_spectrum,
 )
+
+
+# Reference expansion: sparse dicts of exponent tuples pushed term by term
+# through every layer.  The dense expansion must export the same bytes.
+
+
+def _ref_canonical(poly):
+    if not poly:
+        return {}
+    top = max(abs(c) for c in poly.values())
+    if top == 0.0:
+        return {}
+    floor = CANONICAL_REL_EPS * top
+    return {e: c for e, c in poly.items() if abs(c) >= floor and c != 0.0}
+
+
+def _ref_linear(weight, polys):
+    out = []
+    for i in range(weight.shape[0]):
+        acc = {}
+        for j in range(weight.shape[1]):
+            wij = weight[i, j]
+            if wij == 0.0:
+                continue
+            for exps, coef in polys[j].items():
+                v = acc.get(exps, 0.0) + wij * coef
+                if v == 0.0:
+                    acc.pop(exps, None)
+                else:
+                    acc[exps] = v
+        out.append(acc)
+    return out
+
+
+def _ref_shift(poly, var, amount, n):
+    if var == n or amount == 0:
+        return poly
+    out = {}
+    for exps, coef in poly.items():
+        e = list(exps)
+        e[var] += amount
+        out[tuple(e)] = coef
+    return out
+
+
+def reference_expand(model):
+    spec = model.spec
+    n = spec.n
+    zero = (0,) * n
+    polys = [{tuple(int(i == j) for i in range(n)): 1.0} for j in range(n)]
+    polys.append({zero: 1.0})
+    amounts = [1] * (len(model.weights) - 1)
+    if spec.variant == CRPNN2:
+        amounts[0] = spec.plan.power
+    for w, amount in zip(model.weights, amounts):
+        polys = _ref_linear(w, polys)
+        polys = [_ref_shift(p, j, amount, n) for j, p in enumerate(polys)]
+    outputs = _ref_linear(model.weights[-1], polys)
+    return RelationSpectrum(n=n, m=spec.m, terms=tuple(_ref_canonical(p) for p in outputs))
+
+
+@st.composite
+def sparse_models(draw):
+    variant = draw(st.sampled_from([CRPNN1, CRPNN2]))
+    n = draw(st.integers(1, 4))
+    low = n + 2 if variant == CRPNN2 else 1
+    order = draw(st.integers(low, 10))
+    m = draw(st.integers(1, 2))
+    model = init_weights(NetworkSpec.create(variant, n, m, order), seed=draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    for w in model.weights:
+        w[rng.random(w.shape) < share] = 0.0
+    if draw(st.booleans()):
+        model.weights[int(rng.integers(len(model.weights)))][0] = 0.0  # an all-zero row
+    return model
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_models())
+def test_dense_expansion_exports_the_reference_bytes(model):
+    assert export_spectrum(expand_to_spectrum(model)) == export_spectrum(reference_expand(model))
+
+
+@pytest.mark.parametrize("n, degree", [(1, 0), (1, 7), (2, 4), (3, 5), (4, 3), (5, 2)])
+def test_graded_exponents_order_and_count(n, degree):
+    basis = _graded_exponents(n, degree)
+    rows = [tuple(r) for r in basis.tolist()]
+    assert len(rows) == math.comb(n + degree, n)
+    expected = sorted(
+        (e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree),
+        key=lambda e: (sum(e), e),
+    )
+    assert rows == expected
+
+
+@pytest.mark.parametrize("n, degree, amount", [(1, 6, 1), (1, 6, 4), (2, 5, 1), (3, 6, 2), (4, 5, 3)])
+def test_shift_map_sends_each_row_to_its_shifted_monomial(n, degree, amount):
+    basis = _graded_exponents(n, degree)
+    shifts = _shift_map(basis, amount)
+    assert shifts.dtype == np.int32
+    sources = math.comb(n + degree - amount, n)
+    assert shifts.shape == (n, sources)
+    for j in range(n):
+        moved = basis[:sources].copy()
+        moved[:, j] += amount
+        np.testing.assert_array_equal(basis[shifts[j]], moved)
 
 
 def identity_crpnn2_toy():
@@ -98,6 +214,20 @@ def test_expansion_guard():
     model = init_weights(NetworkSpec.crpnn1(10, 1, 40), seed=0)
     with pytest.raises(SpectrumSizeError, match="guard"):
         expand_to_spectrum(model)
+
+
+def test_expansion_guard_counts_the_dense_block():
+    # C(1002, 2) = 501,501 monomials is few, but 1001 rows of them are not
+    spec = NetworkSpec.crpnn1(1000, 1, 2)
+    model = CrpnnModel(spec, [np.ones(s) for s in spec.weight_shapes()])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpectrumSizeError, match="guard"):
+            expand_to_spectrum(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_evaluate_empty_spectrum():
