@@ -8,8 +8,6 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 """
 
 import argparse
-import csv
-import io
 import os
 import sys
 import time
@@ -17,10 +15,8 @@ import time
 import numpy as np
 
 from . import bench as bench_mod
+from .csvio import write_csv
 from .datagen import (
-    CapacityError,
-    Dataset,
-    DatasetFormatError,
     gen_random_polynomial,
     make_dataset,
     read_dataset_csv,
@@ -28,40 +24,19 @@ from .datagen import (
     write_dataset_csv,
     SINE_INPUT_DIM,
 )
-from .linalg import ShapeError
 from .network import (
-    CRPNN1,
-    CRPNN2,
     VARIANTS,
-    ModelFormatError,
     NetworkSpec,
     init_weights,
     load_model,
     predict_batch,
     save_model,
 )
-from .spectrum import (
-    SpectrumFormatError,
-    SpectrumSizeError,
-    expand_to_spectrum,
-    export_spectrum,
-)
-from .topology import TopologyError
+from .spectrum import expand_to_spectrum, export_spectrum
 from .training import TrainConfig, TrainingDivergedError, loss_mse, train
 
-_RUNTIME_ERRORS = (
-    CapacityError,
-    DatasetFormatError,
-    ModelFormatError,
-    ShapeError,
-    SpectrumFormatError,
-    SpectrumSizeError,
-    TopologyError,
-    TrainingDivergedError,
-    FloatingPointError,
-    OSError,
-    ValueError,
-)
+# Every typed error of the package subclasses ValueError.
+_RUNTIME_ERRORS = (ValueError, TrainingDivergedError, FloatingPointError, OSError)
 
 
 def _default_seed():
@@ -173,11 +148,11 @@ def parse_cli(argv):
 
 
 def _write_or_print(payload, path):
+    """Write bytes to path, or print them as UTF-8 text when path is None."""
     if path is None:
-        sys.stdout.write(payload if isinstance(payload, str) else payload.decode("utf-8"))
+        sys.stdout.write(payload.decode("utf-8"))
     else:
-        mode = "wb" if isinstance(payload, (bytes, bytearray)) else "w"
-        with open(path, mode) as fh:
+        with open(path, "wb") as fh:
             fh.write(payload)
 
 
@@ -215,8 +190,7 @@ def cmd_train(args):
         lr_decay=args.lr_decay,
     )
     model, record = train(model, dataset, config, metrics_path=args.metrics_out)
-    with open(args.model_out, "wb") as fh:
-        fh.write(save_model(model))
+    _write_or_print(save_model(model), args.model_out)
     print(f"final_mse={record.final_mse!r}")
     return 0
 
@@ -229,28 +203,18 @@ def cmd_eval(args):
     predictions = predict_batch(model, dataset.inputs)
     mse = loss_mse(predictions, dataset.targets)
     if args.out is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         m = dataset.m
         if m == 1:
-            writer.writerow(["t_index", "actual", "predicted"])
-            for k in range(dataset.size):
-                writer.writerow(
-                    [k, repr(float(dataset.targets[0, k])), repr(float(predictions[0, k]))]
-                )
+            header = ["t_index", "actual", "predicted"]
         else:
-            writer.writerow(
+            header = (
                 ["t_index"]
                 + [f"actual_{j + 1}" for j in range(m)]
                 + [f"predicted_{j + 1}" for j in range(m)]
             )
-            for k in range(dataset.size):
-                writer.writerow(
-                    [k]
-                    + [repr(float(v)) for v in dataset.targets[:, k]]
-                    + [repr(float(v)) for v in predictions[:, k]]
-                )
-        _write_or_print(buf.getvalue(), args.out)
+        samples = np.concatenate((dataset.targets, predictions)).T.tolist()
+        rows = ([k, *row] for k, row in enumerate(samples))
+        _write_or_print(write_csv(header, rows), args.out)
     print(f"final_mse={mse!r}")
     return 0
 
@@ -280,7 +244,7 @@ def cmd_bench(args):
         learning_rate=args.lr,
     )
     report = bench_mod.run_bench(protocol)
-    _write_or_print(report.to_json(), args.out)
+    _write_or_print(report.to_json().encode("utf-8"), args.out)
     return 0
 
 
@@ -289,9 +253,7 @@ def cmd_compare(args):
     orders = _parse_orders(args.orders)
     with open(args.data, "rb") as fh:
         dataset = read_dataset_csv(fh.read())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["variant", "order", "seed", "final_mse", "seconds"])
+    rows = []
     for variant in _variant_list(args.variant):
         for order in orders:
             for offset in range(args.seeds):
@@ -306,11 +268,11 @@ def cmd_compare(args):
                 )
                 start = time.perf_counter()
                 _, record = train(model, dataset, config)
-                writer.writerow(
-                    [variant, order, seed, repr(record.final_mse),
-                     repr(time.perf_counter() - start)]
+                rows.append(
+                    [variant, order, seed, record.final_mse, time.perf_counter() - start]
                 )
-    _write_or_print(buf.getvalue(), args.out)
+    header = ["variant", "order", "seed", "final_mse", "seconds"]
+    _write_or_print(write_csv(header, rows), args.out)
     return 0
 
 

@@ -1,0 +1,59 @@
+"""The one CSV format of the package: datasets, spectra and CLI tables.
+
+A file is a header line and one line per row, cells joined by ``,``, ``\\n``
+line ends, UTF-8.  Cells are ``str``, ``int`` or Python ``float`` and are
+written with ``str()``, which for a float is its round-trip repr.  Every
+string cell the package writes is a fixed header or a variant name, so no
+cell needs quoting.  Reading goes through :mod:`csv`, so quoted cells parse
+too; blank lines are skipped, and every error names its line.
+"""
+
+import csv
+import io
+
+
+class FormatError(ValueError):
+    """A CSV file is malformed; carries the offending line number."""
+
+    def __init__(self, message, line=None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+def write_csv(header, rows):
+    """CSV bytes of a header and rows of str, int or Python float cells."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    lines.append("")
+    return "\n".join(lines).encode("utf-8")
+
+
+def read_csv(data, error):
+    """Split CSV bytes (or text) into its header and a lazy row iterator.
+
+    The iterator yields ``(lineno, cells)`` for each non-blank row, every row
+    as wide as the header.  Malformed input raises ``error``, a
+    :class:`FormatError` subclass; rows are checked only as they are read,
+    so a caller's header check still comes first.
+    """
+    try:
+        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    except UnicodeDecodeError as exc:
+        raise error(f"not valid UTF-8: {exc}") from exc
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise error("missing header", line=1) from None
+    return header, _rows(reader, len(header), error)
+
+
+def _rows(reader, width, error):
+    for lineno, cells in enumerate(reader, start=2):
+        if not cells:
+            continue
+        if len(cells) != width:
+            raise error(f"expected {width} cells, got {len(cells)}", line=lineno)
+        yield lineno, cells

@@ -10,13 +10,12 @@ five-sine trajectory
 sampled on a uniform grid over [t_start, t_end] (radians throughout).
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import FormatError, read_csv, write_csv
 from .linalg import ShapeError, as_array, check_finite
 from .spectrum import RelationSpectrum, _graded_exponents, evaluate_spectrum_cols
 
@@ -28,14 +27,8 @@ class CapacityError(ValueError):
     """More monomials requested than the degree bound makes available."""
 
 
-class DatasetFormatError(ValueError):
+class DatasetFormatError(FormatError):
     """Dataset CSV is malformed; carries the offending line number."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -160,31 +153,13 @@ def make_dataset(target, inputs):
 
 def write_dataset_csv(dataset):
     """CSV bytes with header x1..xn,y1..ym and one sample per row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [f"x{i + 1}" for i in range(dataset.n)] + [f"y{j + 1}" for j in range(dataset.m)]
-    )
-    for k in range(dataset.size):
-        writer.writerow(
-            [repr(float(v)) for v in dataset.inputs[:, k]]
-            + [repr(float(v)) for v in dataset.targets[:, k]]
-        )
-    return buf.getvalue().encode("utf-8")
+    header = [f"x{i + 1}" for i in range(dataset.n)] + [f"y{j + 1}" for j in range(dataset.m)]
+    return write_csv(header, np.concatenate((dataset.inputs, dataset.targets)).T.tolist())
 
 
 def read_dataset_csv(data):
     """Parse CSV bytes produced by :func:`write_dataset_csv`."""
-    try:
-        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"not valid UTF-8: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetFormatError("missing header", line=1) from None
-
+    header, rows = read_csv(data, DatasetFormatError)
     n = 0
     while n < len(header) and header[n] == f"x{n + 1}":
         n += 1
@@ -197,13 +172,7 @@ def read_dataset_csv(data):
         )
 
     x_rows, y_rows = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != n + m:
-            raise DatasetFormatError(
-                f"expected {n + m} cells, got {len(row)}", line=lineno
-            )
+    for lineno, row in rows:
         try:
             values = [float(cell) for cell in row]
         except ValueError as exc:

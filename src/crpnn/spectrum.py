@@ -23,13 +23,12 @@ are dropped.  Structural zeros of the architecture therefore show up as
 absent keys.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import FormatError, read_csv, write_csv
 from .linalg import ShapeError, as_array
 from .network import CRPNN2
 
@@ -45,14 +44,8 @@ class SpectrumSizeError(ValueError):
     """Dense coefficient block exceeds the expansion guard."""
 
 
-class SpectrumFormatError(ValueError):
+class SpectrumFormatError(FormatError):
     """Spectrum CSV is malformed; carries the offending line number."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -157,7 +150,7 @@ def _power_tables(x, max_exps):
     tables = []
     for i, top in enumerate(max_exps):
         ladder = [None] * (top + 1)
-        ladder[0] = np.ones_like(x[i]) if isinstance(x[i], np.ndarray) else 1.0
+        ladder[0] = np.ones_like(x[i])
         if top >= 1:
             ladder[1] = x[i]
             for d in range(2, top + 1):
@@ -181,18 +174,7 @@ def evaluate_spectrum(spectrum, x):
     x = as_array(x, 1, "input vector")
     if x.shape[0] != spectrum.n:
         raise ShapeError(f"spectrum expects dim {spectrum.n}, got {x.shape[0]}")
-    tables = _power_tables(x, _max_exponents(spectrum))
-    y = np.zeros(spectrum.m)
-    for out_idx, terms in enumerate(spectrum.terms):
-        acc = 0.0
-        for exps, coef in terms.items():
-            v = coef
-            for i, e in enumerate(exps):
-                if e:
-                    v *= tables[i][e]
-            acc += v
-        y[out_idx] = acc
-    return y
+    return evaluate_spectrum_cols(spectrum, x.reshape(-1, 1)).ravel()
 
 
 def evaluate_spectrum_cols(spectrum, xs):
@@ -239,28 +221,19 @@ def compare_spectra(a, b):
     return max_diff, support_mismatch
 
 
-def _sorted_rows(spectrum):
-    rows = [
-        (out_idx, exps, coef)
-        for out_idx, terms in enumerate(spectrum.terms)
-        for exps, coef in terms.items()
-    ]
-    rows.sort(key=lambda r: (r[0], sum(r[1]), r[1]))
-    return rows
-
-
 def export_spectrum(spectrum):
     """Write the spectrum as CSV bytes: e_1..e_n, output, coefficient.
 
     Rows are sorted by (output, total degree, exponents) so exports are
     diff-stable; coefficients use round-trip decimal precision.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"e_{i + 1}" for i in range(spectrum.n)] + [CSV_OUTPUT_COL, CSV_COEFF_COL])
-    for out_idx, exps, coef in _sorted_rows(spectrum):
-        writer.writerow([*exps, out_idx, repr(float(coef))])
-    return buf.getvalue().encode("utf-8")
+    header = [f"e_{i + 1}" for i in range(spectrum.n)] + [CSV_OUTPUT_COL, CSV_COEFF_COL]
+    rows = (
+        [*exps, out_idx, float(terms[exps])]
+        for out_idx, terms in enumerate(spectrum.terms)
+        for exps in sorted(terms, key=lambda e: (sum(e), e))
+    )
+    return write_csv(header, rows)
 
 
 def import_spectrum(data):
@@ -270,15 +243,7 @@ def import_spectrum(data):
     output index + 1 (1 for a term-less file).  Exact-zero coefficients are
     dropped to keep the canonical form.
     """
-    try:
-        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
-    except UnicodeDecodeError as exc:
-        raise SpectrumFormatError(f"not valid UTF-8: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SpectrumFormatError("missing header", line=1) from None
+    header, rows = read_csv(data, SpectrumFormatError)
     if len(header) < 3 or header[-2:] != [CSV_OUTPUT_COL, CSV_COEFF_COL]:
         raise SpectrumFormatError(
             f"header must end with '{CSV_OUTPUT_COL},{CSV_COEFF_COL}'", line=1
@@ -292,13 +257,7 @@ def import_spectrum(data):
 
     per_output = {}
     seen = set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != n + 2:
-            raise SpectrumFormatError(
-                f"expected {n + 2} cells, got {len(row)}", line=lineno
-            )
+    for lineno, row in rows:
         try:
             exps = tuple(int(cell) for cell in row[:n])
             out_idx = int(row[n])

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from crpnn.cli import main, parse_cli
-from crpnn.network import CrpnnModel, NetworkSpec, save_model
-from crpnn.spectrum import import_spectrum
+from crpnn.datagen import CapacityError, DatasetFormatError
+from crpnn.linalg import ShapeError
+from crpnn.network import CrpnnModel, ModelFormatError, NetworkSpec, save_model
+from crpnn.spectrum import SpectrumFormatError, SpectrumSizeError, import_spectrum
+from crpnn.topology import TopologyError
 
 
 def test_parse_gen():
@@ -207,3 +210,23 @@ def test_explicit_seed_beats_env(tmp_path, monkeypatch):
     monkeypatch.delenv("CRPNN_SEED")
     main(["gen", "--n", "2", "--degree", "3", "--items", "5", "--seed", "4", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [CapacityError, DatasetFormatError, ModelFormatError, ShapeError,
+     SpectrumFormatError, SpectrumSizeError, TopologyError],
+)
+def test_typed_errors_are_value_errors(error):
+    # the CLI maps ValueError to exit code 1
+    assert issubclass(error, ValueError)
+
+
+def test_train_on_malformed_dataset_exits_1_with_line(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"x1,y1\n0.5,1.0\n0.5\n")
+    rc = main(["train", "--variant", "crpnn1", "--order", "2", "--data", str(data),
+               "--model-out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert "line 3: expected 2 cells, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()

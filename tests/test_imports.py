@@ -1,0 +1,36 @@
+"""Every name a module of the package imports is used in that module.
+
+No linter is a dependency of the project, so this stands in for pyflakes'
+unused-import check.  ``__init__.py`` is left out: its imports are the
+package's public surface.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "crpnn"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_checker_finds_an_unused_import():
+    source = "import os\nimport sys\nfrom json import dumps, loads as ld\nprint(sys, ld)\n"
+    assert unused_imports(source) == ["dumps", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

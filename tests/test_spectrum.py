@@ -301,6 +301,17 @@ def test_export_rows_sorted():
     assert keys == sorted(keys)
 
 
+def test_export_sorts_rows_inserted_out_of_order():
+    # keys in reverse graded order; a user-built spectrum may hold np.float64
+    first = {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 3.0, (1, 0): 4.0, (0, 1): 5.0, (0, 0): 6.0}
+    s = RelationSpectrum(n=2, m=2, terms=(first, {(1, 0): np.float64(7.0), (0, 0): 8.0}))
+    rows = export_spectrum(s).decode().strip().split("\n")[1:]
+    assert rows == [
+        "0,0,0,6.0", "0,1,0,5.0", "1,0,0,4.0", "0,2,0,3.0", "1,1,0,2.0", "2,0,0,1.0",
+        "0,0,1,8.0", "1,0,1,7.0",
+    ]
+
+
 def test_import_errors_carry_line_numbers():
     with pytest.raises(SpectrumFormatError, match="line 1"):
         import_spectrum(b"e_1,e_2,coefficient\n")
