@@ -148,12 +148,27 @@ def parse_cli(argv):
 
 
 def _write_or_print(payload, path):
-    """Write bytes to path, or print them as UTF-8 text when path is None."""
+    """Write bytes to path whole or not at all, or print them when path is None.
+
+    Devices and pipes such as /dev/stdout are written in place.
+    """
     if path is None:
         sys.stdout.write(payload.decode("utf-8"))
-    else:
+        return
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:
             fh.write(payload)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _gen_inputs(n, samples, t_start, t_end, seed):

@@ -7,33 +7,46 @@ and returns it; without ``out`` it allocates the result.  ``out`` must not
 overlap an operand, except that the elementwise ``hadamard`` may write over
 either of its operands.
 
-All kernels expect C-contiguous float64 arrays; the validated wrappers in
-:mod:`crpnn.linalg` guarantee that.
+Each also takes a keyword-only ``counter`` and adds the scalar multiplies
+it ran, the package's only count formulas.  Kernels check nothing: the
+forward and backward passes check shapes and coerce the weights to
+C-contiguous float64 once per pass, the :mod:`crpnn.linalg` wrappers on
+every call.
 """
 
 import numpy as np
 
 
-def matmul(a, b, *, out=None):
+def matmul(a, b, *, out=None, counter=None):
+    if counter is not None:
+        counter.add(a.shape[0] * a.shape[1] * b.shape[1])
     return np.matmul(a, b, out=out)
 
 
-def matmul_nt(a, b, *, out=None):
+def matmul_nt(a, b, *, out=None, counter=None):
     """a @ b.T"""
+    if counter is not None:
+        counter.add(a.shape[0] * a.shape[1] * b.shape[0])
     return np.matmul(a, b.T, out=out)
 
 
-def matmul_tn(a, b, *, out=None):
+def matmul_tn(a, b, *, out=None, counter=None):
     """a.T @ b"""
+    if counter is not None:
+        counter.add(a.shape[1] * a.shape[0] * b.shape[1])
     return np.matmul(a.T, b, out=out)
 
 
-def hadamard(a, b, *, out=None):
+def hadamard(a, b, *, out=None, counter=None):
+    if counter is not None:
+        counter.add(a.size)
     return np.multiply(a, b, out=out)
 
 
-def power(x, c, *, out=None):
+def power(x, c, *, out=None, counter=None):
     # c-1 successive elementwise products, never pow()
+    if counter is not None:
+        counter.add((c - 1) * x.size)
     if out is None:
         out = x.copy()
     else:

@@ -1,12 +1,13 @@
-"""Dense float64 matrix/vector operations with exact multiply counting.
+"""Validated dense float64 operations with exact multiply counting.
 
-Matrices are 2-D C-contiguous float64 arrays, column vectors 1-D ones.  All
-network math flows through the operations here, so an instrumented multiply
-count is a count of the code that actually ran: counting is an optional
-argument on each operation, not a separate code path.  Pass a
-:class:`MultiplyCounter` to accumulate, leave it ``None`` to skip.  The
-products also take an ``out`` array to write into, as the kernels in
-:mod:`crpnn.kernels` do; it changes where the result goes, not the count.
+Matrices are 2-D C-contiguous float64 arrays, column vectors 1-D ones.  Each
+operation here coerces and checks its operands, then runs the matching
+kernel of :mod:`crpnn.kernels`, which every product in the package (the
+forward and backward passes included) bottoms out in.  Counting is an
+optional argument of each kernel, not a separate code path, so an
+instrumented multiply count is a count of the code that actually ran.  Pass
+a :class:`MultiplyCounter` to accumulate, leave it ``None`` to skip; ``out``
+changes where the result goes, not the count.
 """
 
 from dataclasses import dataclass
@@ -51,22 +52,15 @@ def matmul(a, b, counter=None, out=None):
     """
     a = as_array(a, 2, "left operand")
     b = as_array(b, None, "right operand")
-    if b.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"cannot multiply {a.shape} by vector of dim {b.shape[0]}")
-        col = None if out is None else out.reshape(-1, 1)
-        out = kernels.matmul(a, b.reshape(-1, 1), out=col).ravel()
-        cols = 1
-    elif b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-        out = kernels.matmul(a, b, out=out)
-        cols = b.shape[1]
-    else:
+    if b.ndim not in (1, 2):
         raise ShapeError(f"right operand must be 1- or 2-dimensional, got shape {b.shape}")
-    if counter is not None:
-        counter.add(a.shape[0] * a.shape[1] * cols)
-    return out
+    if a.shape[1] != b.shape[0]:
+        rhs = b.shape if b.ndim == 2 else f"vector of dim {b.shape[0]}"
+        raise ShapeError(f"cannot multiply {a.shape} by {rhs}")
+    if b.ndim == 2:
+        return kernels.matmul(a, b, out=out, counter=counter)
+    col = None if out is None else out.reshape(-1, 1)
+    return kernels.matmul(a, b.reshape(-1, 1), out=col, counter=counter).ravel()
 
 
 def hadamard(a, b, counter=None, out=None):
@@ -78,10 +72,7 @@ def hadamard(a, b, counter=None, out=None):
     b = as_array(b)
     if a.shape != b.shape:
         raise ShapeError(f"hadamard operands differ in shape: {a.shape} vs {b.shape}")
-    out = kernels.hadamard(a, b, out=out)
-    if counter is not None:
-        counter.add(a.size)
-    return out
+    return kernels.hadamard(a, b, out=out, counter=counter)
 
 
 def elementwise_power(v, c, counter=None, out=None):
@@ -92,20 +83,13 @@ def elementwise_power(v, c, counter=None, out=None):
     """
     if int(c) != c or c < 1:
         raise ValueError(f"power must be a positive integer, got {c!r}")
-    v = as_array(v)
-    out = kernels.power(v, int(c), out=out)
-    if counter is not None:
-        counter.add((int(c) - 1) * v.size)
-    return out
+    return kernels.power(as_array(v), int(c), out=out, counter=counter)
 
 
 def augment(x):
     """Append the constant bias coordinate 1 to a vector: [x_1..x_n] -> [x_1..x_n, 1]."""
     x = as_array(x, 1, "input vector")
-    out = np.empty(x.shape[0] + 1)
-    out[:-1] = x
-    out[-1] = 1.0
-    return out
+    return augment_cols(x.reshape(-1, 1)).ravel()
 
 
 def augment_cols(xs):

@@ -18,15 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    ShapeError,
-    as_array,
-    augment_cols,
-    check_finite,
-    elementwise_power,
-    hadamard,
-    matmul,
-)
+from . import kernels
+from .linalg import ShapeError, as_array, check_finite
 from .topology import TopologyPlan, plan_topology
 
 CRPNN1 = "crpnn1"
@@ -90,18 +83,27 @@ class CrpnnModel:
         return sum(w.size for w in self.weights)
 
 
-def _validate_weights(spec, weights):
+def _checked_weights(spec, weights):
+    """The weights as C-contiguous float64, shape-checked: once per pass."""
+    weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
     shapes = spec.weight_shapes()
     if len(weights) != len(shapes):
-        raise ModelFormatError(
+        raise ShapeError(
             f"expected {len(shapes)} weight matrices for {spec.variant} "
             f"(n={spec.n}, order={spec.order}), got {len(weights)}"
         )
     for idx, (w, shape) in enumerate(zip(weights, shapes)):
         if w.shape != shape:
-            raise ModelFormatError(
-                f"weight matrix {idx} has shape {w.shape}, expected {shape}"
-            )
+            raise ShapeError(f"weight matrix {idx} has shape {w.shape}, expected {shape}")
+    return weights
+
+
+def _validate_weights(spec, weights):
+    try:
+        _checked_weights(spec, weights)
+    except ShapeError as exc:
+        raise ModelFormatError(str(exc)) from exc
+    for idx, w in enumerate(weights):
         check_finite(w, f"weight matrix {idx}")
 
 
@@ -119,7 +121,15 @@ def init_weights(spec, seed, scale=None):
 
 
 def _forward_cols(model, xcols, counter=None, want_cache=False):
-    """Batched forward pass; samples are columns of ``xcols`` (n x K).
+    """Batched forward pass; samples are columns of ``xcols`` (n x K)."""
+    spec = model.spec
+    if xcols.shape[0] != spec.n:
+        raise ShapeError(f"model expects {spec.n} input rows, got {xcols.shape[0]}")
+    return _run_layers(spec, _checked_weights(spec, model.weights), xcols, counter, want_cache)
+
+
+def _run_layers(spec, weights, xcols, counter, want_cache):
+    """The layers of a forward pass, on checked weights, straight on the kernels.
 
     X~ is built once, and every hidden layer writes its product and then its
     Hadamard gate into one (n+1) x K slot allocated for this call.  Without
@@ -132,25 +142,22 @@ def _forward_cols(model, xcols, counter=None, want_cache=False):
     so that overflow yields inf/nan, not a warning, and check the result
     where they need it finite.
     """
-    spec = model.spec
-    if xcols.shape[0] != spec.n:
-        raise ShapeError(
-            f"model expects {spec.n} input rows, got {xcols.shape[0]}"
-        )
-    weights = model.weights
-    xa = augment_cols(xcols)
-    slots = np.empty((len(weights) - 1 if want_cache else 2,) + xa.shape)
+    xa = np.empty((spec.n + 1, xcols.shape[1]))
+    xa[:-1] = xcols
+    xa[-1] = 1.0
+    slots = [*np.empty((len(weights) - 1 if want_cache else 2,) + xa.shape)]
     xc = None
     if spec.variant == CRPNN2:
-        xc = elementwise_power(
-            xa, spec.plan.power, counter, out=None if want_cache else slots[1]
+        xc = kernels.power(
+            xa, spec.plan.power, out=None if want_cache else slots[1], counter=counter
         )
     a = xa
     for i, w in enumerate(weights[:-1]):
         gate = xc if i == 0 and xc is not None else xa
         out = slots[i % len(slots)]
-        a = hadamard(matmul(w, a, counter, out=out), gate, counter, out=out)
-    y = matmul(weights[-1], a, counter)
+        kernels.matmul(w, a, out=out, counter=counter)
+        a = kernels.hadamard(out, gate, out=out, counter=counter)
+    y = kernels.matmul(weights[-1], a, counter=counter)
     if want_cache:
         return y, xa, xc, [xa, *slots]
     return y
@@ -257,9 +264,5 @@ def load_model(data):
             raise ModelFormatError(f"weight matrix {idx} contains non-finite entries")
         weights.append(np.ascontiguousarray(w))
 
-    model = CrpnnModel(spec, weights)
-    try:
-        _validate_weights(spec, weights)
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from exc
-    return model
+    _validate_weights(spec, weights)
+    return CrpnnModel(spec, weights)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import ShapeError, as_array
-from .network import predict_batch, _forward_cols
+from .network import _checked_weights, _run_layers, predict_batch
 
 DIVERGENCE_CEILING = 1e12
 GRAD_CHECK_MAX_PARAMS = 2000
@@ -96,47 +96,48 @@ def _check_batch(model, inputs, targets):
 def backward(model, inputs, targets):
     """Gradients of the internal loss w.r.t. every weight matrix.
 
-    Returns one gradient matrix per weight, shape-congruent with the model.
-    The output seed is formed in place in the forward output, and the error
-    of each hidden layer is written into the forward cache slot that held
-    that layer's output, which its own gradient has already read: the pass
-    allocates nothing beyond the forward cache and the gradients, and no
-    product writes over its own operand.  The gate Hadamard and the 1/B
-    scaling run in place.  Overflow raises FloatingPointError, not a warning.
+    Returns one gradient matrix per weight, shape-congruent with the model;
+    the hidden ones are views of one block.  The output seed is formed in
+    place in the forward output, and the error of each hidden layer is
+    written into the forward cache slot that held that layer's output, which
+    its own gradient has already read: the pass allocates nothing beyond the
+    forward cache and the gradients, and no product writes over its own
+    operand.  Overflow raises FloatingPointError, not a warning.
     """
     inputs = as_array(inputs, 2, "batch inputs")
     targets = as_array(targets, 2, "batch targets")
     _check_batch(model, inputs, targets)
-    batch = inputs.shape[1]
-
-    weights = model.weights
-    grads = [None] * len(weights)
-    inv_batch = 1.0 / batch
+    spec = model.spec
+    weights = _checked_weights(spec, model.weights)
+    block = np.empty((len(weights) - 1, spec.n + 1, spec.n + 1))
+    grads = [*block]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        y, xa, xc, acts = _forward_cols(model, inputs, want_cache=True)
+        y, xa, xc, acts = _run_layers(spec, weights, inputs, None, True)
         if not np.isfinite(y).all():
             raise FloatingPointError(
                 "forward pass overflowed (non-finite activations); "
                 "scale inputs to [-1, 1] before training"
             )
         d_pre = np.subtract(y, targets, out=y)
-        grads[-1] = kernels.matmul_nt(d_pre, acts[-1])
-        for i in range(len(weights) - 2, -1, -1):
+        last = kernels.matmul_nt(d_pre, acts[-1])
+        for i in range(len(grads) - 1, -1, -1):
             # d_pre sits in acts[i + 2] (or y); acts[i + 1] is no longer needed
             d_pre = kernels.matmul_tn(weights[i + 1], d_pre, out=acts[i + 1])
             gate = xc if i == 0 and xc is not None else xa
             kernels.hadamard(d_pre, gate, out=d_pre)
-            grads[i] = kernels.matmul_nt(d_pre, acts[i])
-        for g in grads:
-            g *= inv_batch
+            kernels.matmul_nt(d_pre, acts[i], out=grads[i])
+        inv_batch = 1.0 / inputs.shape[1]
+        block *= inv_batch
+        last *= inv_batch
 
-    for idx, g in enumerate(grads):
-        if not np.isfinite(g).all():
-            raise FloatingPointError(
-                f"gradient for weight matrix {idx} is non-finite; "
-                "scale inputs to [-1, 1] before training"
-            )
+    grads.append(last)
+    if not (np.isfinite(block).all() and np.isfinite(last).all()):
+        idx = next(i for i, g in enumerate(grads) if not np.isfinite(g).all())
+        raise FloatingPointError(
+            f"gradient for weight matrix {idx} is non-finite; "
+            "scale inputs to [-1, 1] before training"
+        )
     return grads
 
 

@@ -1,12 +1,14 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from crpnn import cli
 from crpnn.cli import main, parse_cli
 from crpnn.datagen import CapacityError, DatasetFormatError
 from crpnn.linalg import ShapeError
-from crpnn.network import CrpnnModel, ModelFormatError, NetworkSpec, save_model
+from crpnn.network import CrpnnModel, ModelFormatError, NetworkSpec, init_weights, save_model
 from crpnn.spectrum import SpectrumFormatError, SpectrumSizeError, import_spectrum
 from crpnn.topology import TopologyError
 
@@ -230,3 +232,46 @@ def test_train_on_malformed_dataset_exits_1_with_line(tmp_path, capsys):
     assert rc == 1
     assert "line 3: expected 2 cells, got 1" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+def _fail_replace(src, dst):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch, failure):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old\n")
+    if failure == "replace":
+        monkeypatch.setattr(cli.os, "replace", _fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_or_print(b"new\n", str(target))
+    else:
+        with pytest.raises(TypeError):
+            cli._write_or_print("not bytes", str(target))
+    assert target.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_cli_exits_1_when_an_output_cannot_be_replaced(tmp_path, monkeypatch):
+    model = init_weights(NetworkSpec.crpnn1(2, 1, 2), seed=0)
+    (tmp_path / "m.json").write_bytes(save_model(model))
+    out = tmp_path / "s.csv"
+    out.write_bytes(b"old\n")
+    monkeypatch.setattr(cli.os, "replace", _fail_replace)
+    assert main(["spectrum", "--model", str(tmp_path / "m.json"), "--out", str(out)]) == 1
+    assert out.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "s.csv"]
+
+
+def test_write_replaces_whole_files_through_links_and_streams_devices(tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_bytes(b"a much longer old content\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    cli._write_or_print(b"new\n", str(link))
+    assert link.is_symlink() and real.read_bytes() == b"new\n"
+    cli._write_or_print(b"fresh\n", str(tmp_path / "fresh.csv"))
+    assert (tmp_path / "fresh.csv").read_bytes() == b"fresh\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "link.csv", "real.csv"]
+    cli._write_or_print(b"discarded\n", os.devnull)

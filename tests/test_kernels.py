@@ -1,6 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from crpnn import kernels
+from crpnn.linalg import MultiplyCounter
 
 
 def test_backend_name_is_known():
@@ -34,3 +38,33 @@ def test_hadamard_may_write_over_an_operand():
     expected = b * gate
     assert kernels.hadamard(b, gate, out=b) is b
     np.testing.assert_array_equal(b, expected)
+
+
+def _perfbench_kernel_mults():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._KERNEL_MULTS
+
+
+def test_kernel_counts_match_the_benchmark_formulas():
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-1, 1, (3, 4))
+    b = rng.uniform(-1, 1, (4, 5))
+    c = rng.uniform(-1, 1, (5, 4))
+    cases = {
+        "matmul": (a, b),
+        "matmul_nt": (a, c),
+        "matmul_tn": (b, b),
+        "hadamard": (b, c.T.copy()),
+        "power": (b, 4),
+    }
+    formulas = _perfbench_kernel_mults()
+    assert set(formulas) == set(cases)
+    for name, args in cases.items():
+        kernel = getattr(kernels, name)
+        counter = MultiplyCounter()
+        counted = kernel(*args, counter=counter)
+        assert counter.count == formulas[name](*args) > 0
+        np.testing.assert_array_equal(counted, kernel(*args))

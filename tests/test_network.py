@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -286,3 +288,78 @@ def test_forward_leaves_caller_input_unmodified(sizing):
     forward(model, xs[:, 3])
     _forward_cols(model, xs, want_cache=True)
     np.testing.assert_array_equal(xs, before)
+
+
+def test_too_few_weight_matrices_raise_shape_error():
+    # two matrices would run as CR-PNN I of order 2, not the declared order 3
+    spec = NetworkSpec.crpnn1(2, 1, 3)
+    model = CrpnnModel(spec, init_weights(spec, seed=0).weights[1:])
+    xs = np.zeros((2, 4))
+    with pytest.raises(ShapeError, match=r"expected 3 weight matrices .* got 2"):
+        predict_batch(model, xs)
+    with pytest.raises(ShapeError, match=r"expected 3 weight matrices"):
+        forward(model, xs[:, 0])
+    with pytest.raises(ShapeError, match=r"expected 3 weight matrices"):
+        _forward_cols(model, xs, want_cache=True)
+
+
+@pytest.mark.parametrize("layer", [0, -1])
+@pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
+def test_wrong_weight_shape_raises_shape_error_naming_shapes(variant, layer):
+    spec = NetworkSpec.create(variant, 3, 2, 7)
+    model = init_weights(spec, seed=0)
+    rows, cols = spec.weight_shapes()[layer]
+    model.weights[layer] = np.ones((rows, cols - 1))
+    idx = layer % len(model.weights)
+    message = rf"weight matrix {idx} has shape \({rows}, {cols - 1}\), expected \({rows}, {cols}\)"
+    xs = np.zeros((3, 5))
+    with pytest.raises(ShapeError, match=message):
+        predict_batch(model, xs)
+    with pytest.raises(ShapeError, match=message):
+        forward(model, xs[:, 0])
+
+
+def _weights_as(model, convert):
+    return CrpnnModel(model.spec, [convert(w) for w in model.weights])
+
+
+@pytest.mark.parametrize("cols", [1, 32, 37])
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_float32_and_fortran_weights_match_float64_copies(sizing, cols):
+    model = init_weights(NetworkSpec.create(*sizing), seed=5)
+    single = _weights_as(model, lambda w: w.astype(np.float32))
+    single_as_double = _weights_as(single, lambda w: w.astype(np.float64))
+    fortran = _weights_as(model, np.asfortranarray)
+    xs = np.random.default_rng(cols).uniform(-1, 1, size=(sizing[1], cols))
+    for odd, plain in ((single, single_as_double), (fortran, model)):
+        np.testing.assert_array_equal(predict_batch(odd, xs), predict_batch(plain, xs))
+        np.testing.assert_array_equal(forward(odd, xs[:, 0]), forward(plain, xs[:, 0]))
+    assert single.weights[0].dtype == np.float32  # the caller's arrays are kept
+
+
+@pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
+def test_predict_batch_allocates_only_its_buffers(variant):
+    # X~, two (n+1) x K slots and the m x K output; n=5, K=5000 as in the benchmark
+    model = init_weights(NetworkSpec.create(variant, 5, 1, 14), seed=0)
+    xs = np.random.default_rng(0).uniform(-1, 1, size=(5, 5000))
+    predict_batch(model, xs)
+    expected = 8 * (3 * 6 * 5000 + 5000)
+    tracemalloc.start()
+    try:
+        predict_batch(model, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert expected <= peak <= expected + 16 * 1024
+
+
+@pytest.mark.parametrize("cols", [1, 32])
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_counter_does_not_change_outputs(sizing, cols):
+    model = init_weights(NetworkSpec.create(*sizing), seed=8)
+    xs = np.random.default_rng(cols).uniform(-1, 1, size=(sizing[1], cols))
+    counter = MultiplyCounter()
+    counted = predict_batch(model, xs, counter)
+    np.testing.assert_array_equal(counted, predict_batch(model, xs))
+    per_sample = (mult_count_crpnn1 if sizing[0] == CRPNN1 else mult_count_crpnn2)(*sizing[1:])
+    assert counter.count == cols * per_sample

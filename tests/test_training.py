@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -273,3 +275,73 @@ def test_backward_leaves_caller_arrays_unmodified(sizing):
     for g, g_again, g_kept in zip(first, second, kept):
         assert not np.shares_memory(g, g_again)
         np.testing.assert_array_equal(g, g_kept)
+
+
+def test_too_few_weight_matrices_raise_shape_error():
+    # two matrices would train as CR-PNN I of order 2, not the declared order 3
+    spec = NetworkSpec.crpnn1(2, 1, 3)
+    model = CrpnnModel(spec, init_weights(spec, seed=0).weights[1:])
+    with pytest.raises(ShapeError, match=r"expected 3 weight matrices .* got 2"):
+        backward(model, np.zeros((2, 4)), np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("layer", [0, -1])
+@pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
+def test_wrong_weight_shape_raises_shape_error_naming_shapes(variant, layer):
+    spec = NetworkSpec.create(variant, 3, 2, 7)
+    model = init_weights(spec, seed=0)
+    rows, cols = spec.weight_shapes()[layer]
+    model.weights[layer] = np.ones((rows, cols - 1))
+    idx = layer % len(model.weights)
+    message = rf"weight matrix {idx} has shape \({rows}, {cols - 1}\), expected \({rows}, {cols}\)"
+    with pytest.raises(ShapeError, match=message):
+        backward(model, np.zeros((3, 5)), np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("cols", [1, 32, 37])
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_float32_and_fortran_weights_give_float64_gradients(sizing, cols):
+    model = init_weights(NetworkSpec.create(*sizing), seed=5)
+    single = CrpnnModel(model.spec, [w.astype(np.float32) for w in model.weights])
+    single_as_double = CrpnnModel(model.spec, [w.astype(np.float64) for w in single.weights])
+    fortran = CrpnnModel(model.spec, [np.asfortranarray(w) for w in model.weights])
+    rng = np.random.default_rng(cols)
+    xs = rng.uniform(-1, 1, size=(sizing[1], cols))
+    ts = rng.uniform(-1, 1, size=(sizing[2], cols))
+    for odd, plain in ((single, single_as_double), (fortran, model)):
+        for g, g_plain in zip(backward(odd, xs, ts), backward(plain, xs, ts)):
+            assert g.dtype == np.float64 and g.flags.c_contiguous
+            np.testing.assert_array_equal(g, g_plain)
+
+
+@pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
+def test_backward_allocates_only_cache_and_gradients(variant):
+    # n=5, K=5000 as in the benchmark: X~, the (hidden, n+1, K) cache, X~^c
+    # (CR-PNN II), the m x K output and the gradients, plus a small slack
+    spec = NetworkSpec.create(variant, 5, 1, 14)
+    model = init_weights(spec, seed=0)
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(-1, 1, size=(5, 5000))
+    ts = rng.uniform(-1, 1, size=(1, 5000))
+    backward(model, xs, ts)
+    hidden = len(model.weights) - 1
+    columns = (1 + hidden + (variant == CRPNN2)) * 6 + 1
+    expected = 8 * (columns * 5000 + sum(w.size for w in model.weights))
+    tracemalloc.start()
+    try:
+        grads = backward(model, xs, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert expected <= peak <= expected + 16 * 1024
+    assert all(g.base is grads[0].base is not None for g in grads[:-1])
+
+
+def test_nonfinite_gradient_names_its_matrix():
+    # the activations stay finite; only the first layer's error overflows
+    model = init_weights(NetworkSpec.crpnn1(1, 1, 3), seed=0)
+    model.weights[0][:] = 1e-308
+    model.weights[1][:] = 1e308
+    model.weights[2][:] = 1.0
+    with pytest.raises(FloatingPointError, match="gradient for weight matrix 0 is non-finite"):
+        backward(model, np.ones((1, 2)), np.zeros((1, 2)))
