@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 
 import argparse
 import os
+import stat
 import sys
 import time
 
@@ -150,24 +151,32 @@ def parse_cli(argv):
 def _write_or_print(payload, path):
     """Write bytes to path whole or not at all, or print them when path is None.
 
-    Devices and pipes such as /dev/stdout are written in place.
+    A path that is not a regular file, such as /dev/stdout or a pipe, is
+    written in place.  A regular file is replaced by a temporary file made
+    beside it, which takes over the old file's permission bits.
     """
     if path is None:
         sys.stdout.write(payload.decode("utf-8"))
         return
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "wb") as fh:
             fh.write(payload)
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
     try:
-        with open(tmp, "xb") as fh:
+        with fh:
             fh.write(payload)
-        os.replace(tmp, path)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        os.remove(tmp)
         raise
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from .kernels import hadamard, matmul, power
 from .linalg import ShapeError, as_array, check_finite
 from .topology import TopologyPlan, plan_topology
 
@@ -148,16 +148,14 @@ def _run_layers(spec, weights, xcols, counter, want_cache):
     slots = [*np.empty((len(weights) - 1 if want_cache else 2,) + xa.shape)]
     xc = None
     if spec.variant == CRPNN2:
-        xc = kernels.power(
-            xa, spec.plan.power, out=None if want_cache else slots[1], counter=counter
-        )
+        xc = power(xa, spec.plan.power, out=None if want_cache else slots[1], counter=counter)
     a = xa
     for i, w in enumerate(weights[:-1]):
         gate = xc if i == 0 and xc is not None else xa
         out = slots[i % len(slots)]
-        kernels.matmul(w, a, out=out, counter=counter)
-        a = kernels.hadamard(out, gate, out=out, counter=counter)
-    y = kernels.matmul(weights[-1], a, counter=counter)
+        matmul(w, a, out=out, counter=counter)
+        a = hadamard(out, gate, out=out, counter=counter)
+    y = matmul(weights[-1], a, counter=counter)
     if want_cache:
         return y, xa, xc, [xa, *slots]
     return y

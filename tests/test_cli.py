@@ -275,3 +275,38 @@ def test_write_replaces_whole_files_through_links_and_streams_devices(tmp_path):
     assert (tmp_path / "fresh.csv").read_bytes() == b"fresh\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "link.csv", "real.csv"]
     cli._write_or_print(b"discarded\n", os.devnull)
+
+
+def test_write_streams_a_pipe_named_by_its_dev_fd_path():
+    r, w = os.pipe()
+    try:
+        cli._write_or_print(b"through the pipe\n", f"/dev/fd/{w}")
+        os.close(w)
+        w = None
+        with os.fdopen(r, "rb") as fh:
+            r = None
+            assert fh.read() == b"through the pipe\n"
+    finally:
+        for fd in (r, w):
+            if fd is not None:
+                os.close(fd)
+
+
+def test_replaced_file_keeps_its_permission_bits(tmp_path):
+    target = tmp_path / "model.json"
+    target.write_bytes(b"old\n")
+    target.chmod(0o600)
+    cli._write_or_print(b"new\n", str(target))
+    assert target.read_bytes() == b"new\n"
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_a_temp_file_this_call_did_not_make_is_left_alone(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old\n")
+    stale = tmp_path / f"out.csv.{os.getpid()}.tmp"
+    stale.write_bytes(b"someone else's\n")
+    with pytest.raises(FileExistsError):
+        cli._write_or_print(b"new\n", str(target))
+    assert target.read_bytes() == b"old\n"
+    assert stale.read_bytes() == b"someone else's\n"
