@@ -21,15 +21,7 @@ from .datagen import (
     write_dataset_csv,
 )
 from .kernels import backend_name
-from .linalg import (
-    MultiplyCounter,
-    ShapeError,
-    augment,
-    augment_cols,
-    elementwise_power,
-    hadamard,
-    matmul,
-)
+from .linalg import MultiplyCounter, ShapeError
 from .network import (
     CRPNN1,
     CRPNN2,
@@ -37,8 +29,6 @@ from .network import (
     ModelFormatError,
     NetworkSpec,
     forward,
-    forward_crpnn1,
-    forward_crpnn2,
     init_weights,
     load_model,
     predict_batch,
@@ -58,10 +48,8 @@ from .spectrum import (
 from .topology import (
     TopologyError,
     TopologyPlan,
-    layer_count_compare,
     mult_count_crpnn1,
     mult_count_crpnn2,
-    order_of,
     plan_topology,
 )
 from .training import (

@@ -8,10 +8,9 @@ overlap an operand, except that the elementwise ``hadamard`` may write over
 either of its operands.
 
 Each also takes a keyword-only ``counter`` and adds the scalar multiplies
-it ran, the package's only count formulas.  Kernels check nothing: the
-forward and backward passes check shapes and coerce the weights to
-C-contiguous float64 once per pass, the :mod:`crpnn.linalg` wrappers on
-every call.
+it ran, the package's only count formulas.  Kernels check nothing: their
+callers pass C-contiguous float64 operands of matching shapes, which the
+forward and backward passes check once per pass.
 """
 
 import numpy as np

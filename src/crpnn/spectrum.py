@@ -30,7 +30,7 @@ import numpy as np
 
 from .csvio import FormatError, read_csv, write_csv
 from .linalg import ShapeError, as_array
-from .network import CRPNN2
+from .network import CRPNN2, _checked_weights
 
 MAX_DENSE_ENTRIES = 6 * 10 ** 6
 CANONICAL_REL_EPS = 1e-14
@@ -111,6 +111,7 @@ def _canonical(row, basis):
 def expand_to_spectrum(model):
     """Expand a model into the exact polynomial it computes per output."""
     spec = model.spec
+    weights = _checked_weights(spec, model.weights)
     n = spec.n
     size = math.comb(n + spec.order, n)
     if (n + 1) * size > MAX_DENSE_ENTRIES:
@@ -119,7 +120,7 @@ def expand_to_spectrum(model):
             f"expansion guard of {MAX_DENSE_ENTRIES} entries"
         )
     basis = _graded_exponents(n, spec.order)
-    amounts = [1] * (len(model.weights) - 1)
+    amounts = [1] * (len(weights) - 1)
     if spec.variant == CRPNN2:
         amounts[0] = spec.plan.power
     shifts = {a: _shift_map(basis, a) for a in set(amounts)}
@@ -129,7 +130,7 @@ def expand_to_spectrum(model):
     coeffs[n, 0] = 1.0
     live, degree = n + 1, 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for w, amount in zip(model.weights, amounts):
+        for w, amount in zip(weights, amounts):
             for i in range(n + 1):
                 _accumulate(w[i], coeffs[:, :live], mixed[i, :live])
             degree += amount
@@ -139,7 +140,7 @@ def expand_to_spectrum(model):
             coeffs[np.arange(n)[:, None], shifts[amount][:, :live]] = mixed[:n, :live]
             live = grown
         terms = []
-        for w in model.weights[-1]:
+        for w in weights[-1]:
             _accumulate(w, coeffs[:, :live], mixed[0, :live])
             terms.append(_canonical(mixed[0, :live], basis))
     return RelationSpectrum(n=n, m=spec.m, terms=tuple(terms))

@@ -57,18 +57,6 @@ def plan_topology(n, m, order):
     )
 
 
-def order_of(taylor_layers, power):
-    """Network order reached by l Taylor layers and an expanded layer of power c."""
-    if taylor_layers < 1:
-        raise ValueError(f"taylor_layers must be >= 1, got {taylor_layers}")
-    if not 1 <= power <= taylor_layers + 2:
-        raise ValueError(
-            f"expanded-layer power must lie in [1, l+2] = [1, {taylor_layers + 2}], "
-            f"got {power}"
-        )
-    return taylor_layers + power + 1
-
-
 def mult_count_crpnn1(n, m, order):
     """Exact per-sample forward multiply count of CR-PNN I."""
     if n < 1 or m < 1 or order < 1:
@@ -87,12 +75,3 @@ def mult_count_crpnn2(n, m, order):
         + m * width
     )
 
-
-def layer_count_compare(n, order):
-    """Weighted-layer counts (CR-PNN I, CR-PNN II) at the same network order.
-
-    CR-PNN I charges L weighted layers (L-1 hidden plus output); CR-PNN II
-    charges l + 2.
-    """
-    plan = plan_topology(n, 1, order)
-    return order, plan.total_layers

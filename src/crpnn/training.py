@@ -67,8 +67,10 @@ def loss_mse(predictions, targets):
         raise ShapeError(
             f"prediction shape {predictions.shape} != target shape {targets.shape}"
         )
-    diff = predictions - targets
-    return float(np.mean(diff * diff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflow yields inf, which train's divergence check reports
+        diff = predictions - targets
+        return float(np.mean(diff * diff))
 
 
 def internal_loss(model, inputs, targets):
@@ -188,9 +190,7 @@ def train(model, dataset, config, metrics_path=None):
             else:
                 grads = backward(model, inputs, targets)
                 sgd_step(model, grads, lr)
-            with np.errstate(over="ignore", invalid="ignore"):
-                # a diverging model overflows here; the ceiling check reports it
-                mse = loss_mse(predict_batch(model, inputs), targets)
+            mse = loss_mse(predict_batch(model, inputs), targets)
             record.mse_per_epoch.append(mse)
             record.epochs_run = epoch + 1
             if metrics_file:

@@ -169,6 +169,18 @@ def test_compare_rows_deterministic_apart_from_seconds(tmp_path):
     assert tables[0] == tables[1]
 
 
+def test_overflowing_model_reports_inf_without_a_warning(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x1,y1\n1e12,1.0\n2e12,2.0\n")
+    model = tmp_path / "m.json"
+    model.write_bytes(save_model(init_weights(NetworkSpec.crpnn1(1, 1, 14), seed=0)))
+    assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
+    assert capsys.readouterr().out == "final_mse=inf\n"
+    assert main(["train", "--variant", "crpnn1", "--order", "14", "--data", str(data),
+                 "--epochs", "0", "--model-out", str(tmp_path / "o.json")]) == 0
+    assert capsys.readouterr().out == "final_mse=inf\n"
+
+
 def test_eval_multi_output_schema(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text(

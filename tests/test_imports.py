@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or of its tests imports is used there.
 
 No linter is a dependency of the project, so this stands in for pyflakes'
 unused-import check.  ``__init__.py`` is left out: its imports are the
@@ -10,8 +10,10 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "crpnn"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "crpnn"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source):
@@ -31,6 +33,10 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(source) == ["dumps", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

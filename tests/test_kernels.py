@@ -40,6 +40,34 @@ def test_hadamard_may_write_over_an_operand():
     np.testing.assert_array_equal(b, expected)
 
 
+def test_power_one_is_identity():
+    v = np.array([1.5, -0.25])
+    counter = MultiplyCounter()
+    np.testing.assert_array_equal(kernels.power(v, 1, counter=counter), v)
+    assert counter.count == 0
+
+
+def test_power_bias_coordinate_fixed_point():
+    out = kernels.power(np.array([3.0, 1.0]), 5)
+    assert out[1] == 1.0
+    assert out[0] == 243.0
+
+
+def test_power_addition_law():
+    rng = np.random.default_rng(2)
+    v = rng.uniform(0.5, 1.5, size=8)
+    for a, b in [(1, 1), (2, 3), (4, 2)]:
+        combined = kernels.power(v, a + b)
+        split = kernels.hadamard(kernels.power(v, a), kernels.power(v, b))
+        assert np.abs(combined - split).max() / np.abs(combined).max() < 1e-12
+
+
+def test_counters_are_independent():
+    c1, c2 = MultiplyCounter(), MultiplyCounter()
+    kernels.matmul(np.ones((2, 2)), np.ones((2, 2)), counter=c1)
+    assert c1.count == 8 and c2.count == 0
+
+
 def _perfbench_kernel_mults():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)

@@ -1,133 +1,20 @@
 import numpy as np
 import pytest
 
-from crpnn.linalg import (
-    MultiplyCounter,
-    ShapeError,
-    augment,
-    augment_cols,
-    elementwise_power,
-    hadamard,
-    matmul,
-)
+from crpnn.linalg import ShapeError, as_array, check_finite
 
 
-def test_matmul_by_hand():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0])
-    np.testing.assert_array_equal(out, [17.0, 39.0])
+def test_as_array_coerces_and_checks_dimensionality():
+    arr = as_array([[1, 2], [3, 4]], 2)
+    assert arr.dtype == np.float64 and arr.flags.c_contiguous
+    assert as_array(arr) is arr
+    with pytest.raises(ShapeError, match=r"input vector must be 1-dimensional, got shape \(2, 2\)"):
+        as_array(arr, 1, "input vector")
 
 
-def test_matmul_identity():
-    b = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_array_equal(matmul(np.eye(3), b), b)
-
-
-def test_matmul_dimension_mismatch_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_matmul_counts_exactly():
-    counter = MultiplyCounter()
-    matmul(np.ones((3, 4)), np.ones((4, 7)), counter)
-    assert counter.count == 3 * 4 * 7
-    matmul(np.ones((3, 4)), np.ones(4), counter)
-    assert counter.count == 3 * 4 * 7 + 3 * 4
-
-
-def test_matmul_associativity_random_chains():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        dims = rng.integers(1, 7, size=4)
-        a = rng.standard_normal((dims[0], dims[1]))
-        b = rng.standard_normal((dims[1], dims[2]))
-        c = rng.standard_normal((dims[2], dims[3]))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = np.abs(left).max() + 1.0
-        assert np.abs(left - right).max() / scale < 1e-12
-
-
-def test_hadamard_by_hand():
-    np.testing.assert_array_equal(hadamard([1.0, 2.0], [3.0, 4.0]), [3.0, 8.0])
-    np.testing.assert_array_equal(hadamard([2.0, 3.0], [0.0, 1.0]), [0.0, 3.0])
-
-
-def test_hadamard_ones_identity():
-    v = np.array([0.5, -2.0, 3.25])
-    np.testing.assert_array_equal(hadamard(v, np.ones(3)), v)
-
-
-def test_hadamard_commutes():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal(9)
-    b = rng.standard_normal(9)
-    np.testing.assert_array_equal(hadamard(a, b), hadamard(b, a))
-
-
-def test_hadamard_shape_mismatch():
-    with pytest.raises(ShapeError):
-        hadamard(np.ones(3), np.ones(4))
-
-
-def test_hadamard_counts():
-    counter = MultiplyCounter()
-    hadamard(np.ones((4, 5)), np.ones((4, 5)), counter)
-    assert counter.count == 20
-
-
-def test_power_by_hand():
-    np.testing.assert_array_equal(elementwise_power([2.0, 3.0], 3), [8.0, 27.0])
-
-
-def test_power_one_is_identity():
-    v = np.array([1.5, -0.25])
-    np.testing.assert_array_equal(elementwise_power(v, 1), v)
-
-
-def test_power_bias_coordinate_fixed_point():
-    out = elementwise_power([3.0, 1.0], 5)
-    assert out[1] == 1.0
-    assert out[0] == 243.0
-
-
-def test_power_zero_rejected():
-    with pytest.raises(ValueError):
-        elementwise_power([1.0], 0)
-
-
-def test_power_counts_c_minus_one_hadamards():
-    counter = MultiplyCounter()
-    elementwise_power(np.ones(6), 4, counter)
-    assert counter.count == 3 * 6
-    counter = MultiplyCounter()
-    elementwise_power(np.ones(6), 1, counter)
-    assert counter.count == 0
-
-
-def test_power_addition_law():
-    rng = np.random.default_rng(2)
-    v = rng.uniform(0.5, 1.5, size=8)
-    for a, b in [(1, 1), (2, 3), (4, 2)]:
-        combined = elementwise_power(v, a + b)
-        split = hadamard(elementwise_power(v, a), elementwise_power(v, b))
-        assert np.abs(combined - split).max() / np.abs(combined).max() < 1e-12
-
-
-def test_augment():
-    np.testing.assert_array_equal(augment([2.0, 3.0]), [2.0, 3.0, 1.0])
-    np.testing.assert_array_equal(augment([0.0]), [0.0, 1.0])
-
-
-def test_augment_cols():
-    xs = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = augment_cols(xs)
-    assert out.shape == (3, 2)
-    np.testing.assert_array_equal(out[-1], [1.0, 1.0])
-    np.testing.assert_array_equal(out[:2], xs)
-
-
-def test_counters_are_independent():
-    c1, c2 = MultiplyCounter(), MultiplyCounter()
-    matmul(np.ones((2, 2)), np.ones((2, 2)), c1)
-    assert c1.count == 8 and c2.count == 0
+def test_check_finite():
+    v = np.array([1.0, -2.0])
+    assert check_finite(v) is v
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="weights contains non-finite entries"):
+            check_finite(np.array([1.0, bad]), "weights")

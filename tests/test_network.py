@@ -9,11 +9,11 @@ from crpnn.network import (
     CRPNN2,
     CrpnnModel,
     ModelFormatError,
+    ALIGNED_MIN_ENTRIES,
     NetworkSpec,
+    _empty_aligned,
     _forward_cols,
     forward,
-    forward_crpnn1,
-    forward_crpnn2,
     init_weights,
     load_model,
     predict_batch,
@@ -36,12 +36,12 @@ def identity_crpnn1_toy():
 
 
 def test_crpnn2_toy_forward():
-    out = forward_crpnn2(identity_crpnn2_toy(), [2.0])
+    out = forward(identity_crpnn2_toy(), [2.0])
     np.testing.assert_allclose(out, [33.0])
 
 
 def test_crpnn1_toy_forward():
-    out = forward_crpnn1(identity_crpnn1_toy(), [2.0])
+    out = forward(identity_crpnn1_toy(), [2.0])
     np.testing.assert_allclose(out, [5.0])
 
 
@@ -57,13 +57,6 @@ def test_crpnn1_order_one_is_affine():
     np.testing.assert_allclose(forward(model, [1.0, 3.0]), [2.0 - 3.0 + 0.5])
 
 
-def test_variant_guards():
-    with pytest.raises(ValueError):
-        forward_crpnn1(identity_crpnn2_toy(), [1.0])
-    with pytest.raises(ValueError):
-        forward_crpnn2(identity_crpnn1_toy(), [1.0])
-
-
 def test_forward_dimension_mismatch():
     with pytest.raises(ShapeError):
         forward(identity_crpnn2_toy(), [1.0, 2.0])
@@ -72,10 +65,8 @@ def test_forward_dimension_mismatch():
 def test_forward_rejects_already_augmented_input():
     # layers consume exactly one augmentation; an (n+1)-dim vector is a mismatch
     model = init_weights(NetworkSpec.crpnn1(3, 1, 4), seed=0)
-    from crpnn.linalg import augment
-
     with pytest.raises(ShapeError):
-        forward(model, augment([0.1, 0.2, 0.3]))
+        forward(model, [0.1, 0.2, 0.3, 1.0])
 
 
 def test_init_weights_deterministic():
@@ -351,6 +342,15 @@ def test_predict_batch_allocates_only_its_buffers(variant):
     finally:
         tracemalloc.stop()
     assert expected <= peak <= expected + 16 * 1024
+
+
+def test_large_engine_blocks_start_on_a_cache_line():
+    for _ in range(8):
+        block = _empty_aligned((3, 6, 5000))
+        assert block.shape == (3, 6, 5000) and block.flags.c_contiguous
+        assert block.ctypes.data % 64 == 0
+    small = _empty_aligned((3, 6, 32))
+    assert small.size < ALIGNED_MIN_ENTRIES and small.base is None
 
 
 @pytest.mark.parametrize("cols", [1, 32])

@@ -4,10 +4,8 @@ import pytest
 
 from crpnn.topology import (
     TopologyError,
-    layer_count_compare,
     mult_count_crpnn1,
     mult_count_crpnn2,
-    order_of,
     plan_topology,
 )
 
@@ -72,19 +70,6 @@ def test_plan_invariants_hold_on_grid():
             assert plan.total_layers == plan.taylor_layers + 2
 
 
-def test_order_of():
-    assert order_of(6, 7) == 14
-    assert order_of(6, 8) == 15 == 2 * 6 + 3
-    assert order_of(1, 1) == 3
-
-
-def test_order_of_rejects_out_of_range_power():
-    with pytest.raises(ValueError):
-        order_of(6, 9)
-    with pytest.raises(ValueError):
-        order_of(3, 0)
-
-
 def test_mult_count_crpnn1():
     assert mult_count_crpnn1(5, 1, 14) == 552
     assert mult_count_crpnn1(1, 1, 2) == 8
@@ -113,9 +98,3 @@ def test_count_gap_matches_savings_everywhere():
                 assert gap == (order - plan.total_layers) * (n + 1) ** 2
                 if order >= plan.total_layers:
                     assert mult_count_crpnn2(n, m, order) <= mult_count_crpnn1(n, m, order)
-
-
-def test_layer_count_compare():
-    assert layer_count_compare(5, 14) == (14, 8)
-    assert layer_count_compare(5, 7) == (7, 7)
-    assert layer_count_compare(1, 5) == (5, 3)
