@@ -14,7 +14,6 @@ only training mutates weights, and it owns its model exclusively.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ from .topology import TopologyPlan, plan_topology
 CRPNN1 = "crpnn1"
 CRPNN2 = "crpnn2"
 VARIANTS = (CRPNN1, CRPNN2)
-ALIGNED_MIN_ENTRIES = 1 << 14  # 128 KiB: K >= 1000 at n=5
 
 
 class ModelFormatError(ValueError):
@@ -122,23 +120,6 @@ def init_weights(spec, seed, scale=None):
     return CrpnnModel(spec, weights)
 
 
-def _empty_aligned(shape):
-    """An uninitialised float64 array; a large one starts on a 64-byte boundary.
-
-    np.empty only promises 16 bytes, so where the heap happens to put a
-    buffer decides whether the kernels' rows straddle cache lines; at n=5,
-    K=5000 that moved a forward pass by a fifth from one process to the next.
-    Reading the address costs about 2 us, so blocks too small to stream
-    (a minibatch pass at K=32 takes tens of microseconds) skip it.
-    """
-    size = math.prod(shape)
-    if size < ALIGNED_MIN_ENTRIES:
-        return np.empty(shape)
-    raw = np.empty(size + 7)
-    skip = (-raw.ctypes.data % 64) // 8
-    return raw[skip : skip + size].reshape(shape)
-
-
 def _forward_cols(model, xcols, counter=None, want_cache=False):
     """Batched forward pass; samples are columns of ``xcols`` (n x K)."""
     spec = model.spec
@@ -157,18 +138,17 @@ def _run_layers(spec, weights, xcols, counter, want_cache):
     m x K output survives the call.  With ``want_cache`` layer i keeps slot i
     of a (hidden, n+1, K) block, and the call also returns X~, X~^c (CR-PNN
     II only, else None) and the list of layer inputs [X~, slot 0, ...], which
-    is exactly what backprop needs.  X~, the slots and X~^c share one
-    block.  Callers run it under ``np.errstate`` so that overflow yields
-    inf/nan, not a warning, and check the result where they need it finite.
+    is exactly what backprop needs.  Callers run it under ``np.errstate``
+    so that overflow yields inf/nan, not a warning, and check the result
+    where they need it finite.
     """
-    crpnn2 = spec.variant == CRPNN2
-    count = len(weights) - 1 + crpnn2 if want_cache else 2
-    xa, *slots = _empty_aligned((1 + count, spec.n + 1, xcols.shape[1]))
+    xa = np.empty((spec.n + 1, xcols.shape[1]))
     xa[:-1] = xcols
     xa[-1] = 1.0
+    slots = [*np.empty((len(weights) - 1 if want_cache else 2,) + xa.shape)]
     xc = None
-    if crpnn2:
-        xc = power(xa, spec.plan.power, out=slots.pop() if want_cache else slots[1], counter=counter)
+    if spec.variant == CRPNN2:
+        xc = power(xa, spec.plan.power, out=None if want_cache else slots[1], counter=counter)
     a = xa
     for i, w in enumerate(weights[:-1]):
         gate = xc if i == 0 and xc is not None else xa

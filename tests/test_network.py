@@ -9,9 +9,7 @@ from crpnn.network import (
     CRPNN2,
     CrpnnModel,
     ModelFormatError,
-    ALIGNED_MIN_ENTRIES,
     NetworkSpec,
-    _empty_aligned,
     _forward_cols,
     forward,
     init_weights,
@@ -342,15 +340,6 @@ def test_predict_batch_allocates_only_its_buffers(variant):
     finally:
         tracemalloc.stop()
     assert expected <= peak <= expected + 16 * 1024
-
-
-def test_large_engine_blocks_start_on_a_cache_line():
-    for _ in range(8):
-        block = _empty_aligned((3, 6, 5000))
-        assert block.shape == (3, 6, 5000) and block.flags.c_contiguous
-        assert block.ctypes.data % 64 == 0
-    small = _empty_aligned((3, 6, 32))
-    assert small.size < ALIGNED_MIN_ENTRIES and small.base is None
 
 
 @pytest.mark.parametrize("cols", [1, 32])
