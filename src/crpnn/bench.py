@@ -24,7 +24,7 @@ from .datagen import SINE_INPUT_DIM, sample_sine_trajectory
 from .linalg import MultiplyCounter
 from .network import CRPNN1, CRPNN2, NetworkSpec, init_weights, predict_batch
 from .topology import mult_count_crpnn1, mult_count_crpnn2
-from .training import backward, sgd_step
+from .training import _check_rate, backward, sgd_step
 
 COUNT_NOTE = "multiply counts cover multiplications only; additions are not counted"
 
@@ -46,6 +46,7 @@ class BenchProtocol:
         for name in ("n", "m", "order", "samples", "forward_reps", "epochs", "runs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        _check_rate("learning_rate", self.learning_rate)
 
 
 @dataclass

@@ -10,7 +10,8 @@ CR-PNN II: A^1 = (W^1 X~) o X~^c;  A^i = (W^i A^{i-1}) o X~  for i = 2..l+1;
            Y = W_out A^{l+1}
 
 Models are immutable after construction as far as this module is concerned;
-only training mutates weights, and it owns its model exclusively.
+only ``training.train`` changes weights: it steps on a packed float64 copy
+and writes that back into the model's own arrays when it returns or raises.
 """
 
 import json
@@ -142,23 +143,36 @@ def _run_layers(spec, weights, xcols, counter, want_cache):
     so that overflow yields inf/nan, not a warning, and check the result
     where they need it finite.
     """
-    xa = np.empty((spec.n + 1, xcols.shape[1]))
-    xa[:-1] = xcols
-    xa[-1] = 1.0
+    xa = _augmented(xcols, np.empty)
     slots = [*np.empty((len(weights) - 1 if want_cache else 2,) + xa.shape)]
     xc = None
     if spec.variant == CRPNN2:
         xc = power(xa, spec.plan.power, out=None if want_cache else slots[1], counter=counter)
+    y = _layers(weights, xa, xc, slots, np.empty((spec.m, xa.shape[1])), counter)
+    if want_cache:
+        return y, xa, xc, [xa, *slots]
+    return y
+
+
+def _augmented(xcols, empty):
+    """X~: the columns of ``xcols`` with a row of ones below, in ``empty(shape)``."""
+    xa = empty((xcols.shape[0] + 1, xcols.shape[1]))
+    xa[:-1] = xcols
+    xa[-1] = 1.0
+    return xa
+
+
+def _layers(weights, xa, xc, slots, y, counter=None):
+    """The weighted layers on the caller's buffers: hidden layer i writes
+    ``slots[i % len(slots)]``, which must not hold X~ or X~^c, and the output
+    layer writes ``y``, which is returned."""
     a = xa
     for i, w in enumerate(weights[:-1]):
         gate = xc if i == 0 and xc is not None else xa
         out = slots[i % len(slots)]
         matmul(w, a, out=out, counter=counter)
         a = hadamard(out, gate, out=out, counter=counter)
-    y = matmul(weights[-1], a, counter=counter)
-    if want_cache:
-        return y, xa, xc, [xa, *slots]
-    return y
+    return matmul(weights[-1], a, out=y, counter=counter)
 
 
 def forward(model, x, counter=None):

@@ -52,6 +52,9 @@ def test_inadmissible_topology_rejected():
 def test_protocol_validation():
     with pytest.raises(ValueError):
         tiny_protocol(runs=0)
+    for rate in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="learning_rate must be a positive finite number"):
+            tiny_protocol(learning_rate=rate)
 
 
 def test_nonstandard_input_dim_uses_uniform_inputs():

@@ -92,6 +92,36 @@ def test_train_topology_error_exits_1(tmp_path, capsys):
     assert "n+2" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, name",
+    [
+        ("train", "--lr", "learning_rate"),
+        ("train", "--lr-decay", "lr_decay"),
+        ("compare", "--lr", "learning_rate"),
+        ("bench", "--lr", "learning_rate"),
+    ],
+)
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_non_finite_rate_exits_1_before_any_output(tmp_path, capsys, command, flag, name, rate):
+    data = tmp_path / "d.csv"
+    main(["gen", "--n", "2", "--degree", "3", "--items", "4", "--seed", "1",
+          "--out", str(tmp_path / "t.csv"), "--data-out", str(data), "--samples", "20"])
+    out = str(tmp_path / "out")
+    argv = {
+        "train": ["train", "--variant", "crpnn1", "--order", "3", "--data", str(data),
+                  "--epochs", "3", "--model-out", out,
+                  "--metrics-out", str(tmp_path / "metrics.csv")],
+        "compare": ["compare", "--variant", "crpnn1", "--orders", "3", "--seeds", "1",
+                    "--data", str(data), "--epochs", "3", "--out", out],
+        "bench": ["bench", "--n", "2", "--order", "4", "--samples", "20", "--forward-reps", "1",
+                  "--epochs", "1", "--runs", "1", "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + [flag, rate]) == 1
+    assert f"error: {name} must be a positive finite number, got {rate}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "t.csv"]
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     rc = main(["eval", "--model", str(tmp_path / "nope.json"), "--data", str(tmp_path / "d.csv")])
     assert rc == 1

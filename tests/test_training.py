@@ -345,3 +345,146 @@ def test_nonfinite_gradient_names_its_matrix():
     model.weights[2][:] = 1.0
     with pytest.raises(FloatingPointError, match="gradient for weight matrix 0 is non-finite"):
         backward(model, np.ones((1, 2)), np.zeros((1, 2)))
+
+
+def reference_train(model, dataset, config):
+    """train() written as the loop of public calls it replaced.
+
+    Per batch backward + sgd_step, per epoch loss_mse of predict_batch.
+    Returns the epoch MSEs, the metrics file text and the error raised (or
+    None); the model is left as the loop left it.
+    """
+    inputs, targets = dataset.inputs, dataset.targets
+    total = inputs.shape[1]
+    batch = config.batch_size or total
+    rng = np.random.default_rng(config.seed)
+    lr = config.learning_rate
+    mses, text = [], "epoch,mse\n"
+    try:
+        for epoch in range(config.epochs):
+            if batch < total:
+                order = rng.permutation(total)
+                for lo in range(0, total, batch):
+                    idx = order[lo : lo + batch]
+                    sgd_step(model, backward(model, inputs[:, idx], targets[:, idx]), lr)
+            else:
+                sgd_step(model, backward(model, inputs, targets), lr)
+            mse = loss_mse(predict_batch(model, inputs), targets)
+            mses.append(mse)
+            text += f"{epoch},{mse!r}\n"
+            if not np.isfinite(mse) or mse > 1e12:
+                raise TrainingDivergedError(
+                    f"training diverged at epoch {epoch}: mse={mse!r} "
+                    f"(learning rate {lr!r} too large for this topology?)"
+                )
+            if config.lr_decay is not None:
+                lr *= config.lr_decay
+    except (TrainingDivergedError, FloatingPointError) as exc:
+        return mses, text, exc
+    return mses, text, None
+
+
+def assert_train_matches_reference(model, dataset, config, path):
+    expected = model.copy()
+    ref_mses, ref_text, ref_err = reference_train(expected, dataset, config)
+    try:
+        _, record = train(model, dataset, config, metrics_path=str(path))
+        err = None
+    except (TrainingDivergedError, FloatingPointError) as exc:
+        record, err = None, exc
+    assert type(err) is type(ref_err) and str(err) == str(ref_err)
+    if err is None:
+        assert record.mse_per_epoch == ref_mses
+        assert record.final_mse == ref_mses[-1]
+    assert path.read_bytes() == ref_text.encode()
+    for w, w_ref in zip(model.weights, expected.weights, strict=True):
+        np.testing.assert_array_equal(w, w_ref, strict=True)
+    return err
+
+
+def dataset_for(spec, samples, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1, 1, size=(spec.n, samples))
+    return Dataset(inputs=xs, targets=rng.uniform(-1, 1, size=(spec.m, samples)))
+
+
+@pytest.mark.parametrize("lr_decay", [None, 0.9])
+@pytest.mark.parametrize("batch_size", [None, 8])
+@pytest.mark.parametrize("sizing", [(CRPNN1, 2, 1, 5), (CRPNN1, 3, 2, 4), (CRPNN2, 2, 1, 8), (CRPNN2, 2, 2, 7)])
+def test_train_is_bit_identical_to_the_loop_of_public_calls(tmp_path, sizing, batch_size, lr_decay):
+    # K=37 and B=8 leave a short last batch of 5 columns
+    spec = NetworkSpec.create(*sizing)
+    model = init_weights(spec, seed=2)
+    config = TrainConfig(learning_rate=0.05, epochs=4, batch_size=batch_size, seed=3, lr_decay=lr_decay)
+    err = assert_train_matches_reference(model, dataset_for(spec, 37, 1), config, tmp_path / "m.csv")
+    assert err is None
+
+
+@pytest.mark.parametrize(
+    "variant, batch_size, lr",
+    [(CRPNN1, None, 10.0), (CRPNN2, None, 10.0), (CRPNN1, 8, 20.0), (CRPNN2, 8, 5.0)],
+)
+def test_train_diverges_like_the_loop_of_public_calls(tmp_path, variant, batch_size, lr):
+    spec = NetworkSpec.create(variant, 2, 1, 6)
+    model = init_weights(spec, seed=0, scale=0.9)
+    config = TrainConfig(learning_rate=lr, epochs=50, batch_size=batch_size, seed=1)
+    err = assert_train_matches_reference(model, dataset_for(spec, 37, 4), config, tmp_path / "m.csv")
+    assert isinstance(err, TrainingDivergedError)
+
+
+@pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
+def test_overflow_mid_epoch_leaves_the_weights_of_the_loop_of_public_calls(tmp_path, variant):
+    # one sample overflows the forward pass; the batches before it have stepped
+    spec = NetworkSpec.create(variant, 2, 1, 6)
+    ds = dataset_for(spec, 37, 5)
+    ds.inputs[0, 36] = 1e200
+    model = init_weights(spec, seed=0)
+    before = [w.copy() for w in model.weights]
+    config = TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=2)
+    err = assert_train_matches_reference(model, ds, config, tmp_path / "m.csv")
+    assert isinstance(err, FloatingPointError)
+    assert not all(np.array_equal(w, b) for w, b in zip(model.weights, before))
+
+
+@pytest.mark.parametrize("cut", ["count", "shape"])
+def test_bad_weights_raise_before_the_metrics_file_is_opened(tmp_path, cut):
+    spec = NetworkSpec.crpnn1(2, 1, 3)
+    weights = init_weights(spec, seed=0).weights
+    weights = weights[1:] if cut == "count" else [weights[0][:, :-1], *weights[1:]]
+    path = tmp_path / "metrics.csv"
+    with pytest.raises(ShapeError):
+        train(CrpnnModel(spec, weights), quadratic_dataset(), TrainConfig(epochs=2), str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
+@pytest.mark.parametrize("name", ["learning_rate", "lr_decay"])
+def test_train_config_rejects_rates_that_are_not_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a positive finite number"):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("batch_size", [None, 8])
+@pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
+def test_train_writes_back_into_the_callers_arrays(variant, batch_size):
+    spec = NetworkSpec.create(variant, 2, 1, 7)
+    model = init_weights(spec, seed=1)
+    ds = dataset_for(spec, 37, 6)
+    config = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=4)
+    fortran = CrpnnModel(spec, [w.copy(order="F") for w in model.weights])
+    single = CrpnnModel(spec, [w.astype(np.float32) for w in model.weights])
+    single_as_double = CrpnnModel(spec, [w.astype(np.float64) for w in single.weights])
+    for odd in (fortran, single):
+        arrays = list(odd.weights)
+        layouts = [(w.dtype, w.flags.c_contiguous, w.flags.f_contiguous) for w in arrays]
+        trained, _ = train(odd, ds, config)
+        assert trained is odd
+        assert all(w is a for w, a in zip(odd.weights, arrays, strict=True))
+        assert [(w.dtype, w.flags.c_contiguous, w.flags.f_contiguous) for w in arrays] == layouts
+    train(model, ds, config)
+    train(single_as_double, ds, config)
+    for w_f, w_c in zip(fortran.weights, model.weights):
+        np.testing.assert_array_equal(w_f, w_c, strict=True)
+    # float32 weights train as their float64 copy and are rounded once, at the end
+    for w_s, w_d in zip(single.weights, single_as_double.weights):
+        np.testing.assert_array_equal(w_s, w_d.astype(np.float32), strict=True)
