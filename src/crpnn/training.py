@@ -196,6 +196,9 @@ def train(model, dataset, config, metrics_path=None):
     _check_batch(model, inputs, targets)
     spec = model.spec
     checked = _checked_weights(spec, model.weights)
+    if not all(isinstance(w, np.ndarray) and w.flags.writeable and w.dtype.kind in "fc"
+               for w in model.weights):
+        raise TypeError("train writes the weights back in place: each must be a writeable float array")
     total = inputs.shape[1]
     batch = config.batch_size if config.batch_size is not None else total
     if batch > total:

@@ -457,6 +457,20 @@ def test_bad_weights_raise_before_the_metrics_file_is_opened(tmp_path, cut):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("kind", ["int64", "read-only"])
+def test_weights_that_cannot_take_the_result_raise_before_training(tmp_path, kind):
+    spec = NetworkSpec.crpnn1(2, 1, 3)
+    weights = init_weights(spec, seed=0).weights
+    if kind == "int64":
+        weights[1] = np.round(4 * weights[1]).astype(np.int64)
+    else:
+        weights[1].flags.writeable = False
+    path = tmp_path / "metrics.csv"
+    with pytest.raises(TypeError, match="writeable float array"):
+        train(CrpnnModel(spec, weights), quadratic_dataset(), TrainConfig(epochs=2), str(path))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
 @pytest.mark.parametrize("name", ["learning_rate", "lr_decay"])
 def test_train_config_rejects_rates_that_are_not_positive_and_finite(name, value):
