@@ -164,8 +164,8 @@ def _augmented(xcols, empty):
 
 def _layers(weights, xa, xc, slots, y, counter=None):
     """The weighted layers on the caller's buffers: hidden layer i writes
-    ``slots[i % len(slots)]``, which must not hold X~ or X~^c, and the output
-    layer writes ``y``, which is returned."""
+    ``slots[i % len(slots)]``, which must not hold X~ or X~^c while a later
+    layer reads it, and the output layer writes ``y``, which is returned."""
     a = xa
     for i, w in enumerate(weights[:-1]):
         gate = xc if i == 0 and xc is not None else xa
