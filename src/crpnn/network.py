@@ -9,6 +9,11 @@ CR-PNN I:  A^0 = X~;  A^i = (W^i A^{i-1}) o X~  for i = 1..L-1;  Y = W_out A^{L-
 CR-PNN II: A^1 = (W^1 X~) o X~^c;  A^i = (W^i A^{i-1}) o X~  for i = 2..l+1;
            Y = W_out A^{l+1}
 
+Every pass lays out its operands one way: ``_fill_inputs`` writes X~ (and
+X~^c for CR-PNN II) into buffers its caller owns, and ``_layers`` runs the
+weighted layers on the caller's slots.  ``predict_batch``, ``training.backward``
+and ``training.train`` differ only in where those buffers come from.
+
 Models are immutable after construction as far as this module is concerned;
 only ``training.train`` changes weights: it steps on a packed float64 copy
 and writes that back into the model's own arrays when it returns or raises.
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import hadamard, matmul, power
-from .linalg import ShapeError, as_array, check_finite
+from .linalg import ShapeError, as_array
 from .topology import TopologyPlan, plan_topology
 
 CRPNN1 = "crpnn1"
@@ -105,7 +110,8 @@ def _validate_weights(spec, weights):
     except ShapeError as exc:
         raise ModelFormatError(str(exc)) from exc
     for idx, w in enumerate(weights):
-        check_finite(w, f"weight matrix {idx}")
+        if not np.isfinite(w).all():
+            raise ModelFormatError(f"weight matrix {idx} contains non-finite entries")
 
 
 def init_weights(spec, seed, scale=None):
@@ -121,51 +127,41 @@ def init_weights(spec, seed, scale=None):
     return CrpnnModel(spec, weights)
 
 
-def _forward_cols(model, xcols, counter=None, want_cache=False):
-    """Batched forward pass; samples are columns of ``xcols`` (n x K)."""
+def _forward_cols(model, xcols, counter=None):
+    """Batched forward pass; samples are columns of ``xcols`` (n x K).
+
+    X~ and the layers' two ping-pong slots share one block allocated per
+    call; CR-PNN II keeps X~^c in slot 1 until layer 1 overwrites it.
+    """
     spec = model.spec
     if xcols.shape[0] != spec.n:
         raise ShapeError(f"model expects {spec.n} input rows, got {xcols.shape[0]}")
-    return _run_layers(spec, _checked_weights(spec, model.weights), xcols, counter, want_cache)
+    weights = _checked_weights(spec, model.weights)
+    xa, *slots = np.empty((3, spec.n + 1, xcols.shape[1]))
+    xc = _fill_inputs(spec, xcols, xa, slots[1], counter)
+    return _layers(weights, xa, xc, slots, np.empty((spec.m, xcols.shape[1])), counter)
 
 
-def _run_layers(spec, weights, xcols, counter, want_cache):
-    """The layers of a forward pass, on checked weights, straight on the kernels.
-
-    X~ is built once, and every hidden layer writes its product and then its
-    Hadamard gate into one (n+1) x K slot allocated for this call.  Without
-    ``want_cache`` the layers alternate between two slots (CR-PNN II keeps
-    X~^c in the second until layer 1 overwrites it) and only the fresh
-    m x K output survives the call.  With ``want_cache`` layer i keeps slot i
-    of a (hidden, n+1, K) block, and the call also returns X~, X~^c (CR-PNN
-    II only, else None) and the list of layer inputs [X~, slot 0, ...], which
-    is exactly what backprop needs.  Callers run it under ``np.errstate``
-    so that overflow yields inf/nan, not a warning, and check the result
-    where they need it finite.
-    """
-    xa = _augmented(xcols, np.empty)
-    slots = [*np.empty((len(weights) - 1 if want_cache else 2,) + xa.shape)]
-    xc = None
-    if spec.variant == CRPNN2:
-        xc = power(xa, spec.plan.power, out=None if want_cache else slots[1], counter=counter)
-    y = _layers(weights, xa, xc, slots, np.empty((spec.m, xa.shape[1])), counter)
-    if want_cache:
-        return y, xa, xc, [xa, *slots]
-    return y
-
-
-def _augmented(xcols, empty):
-    """X~: the columns of ``xcols`` with a row of ones below, in ``empty(shape)``."""
-    xa = empty((xcols.shape[0] + 1, xcols.shape[1]))
+def _fill_inputs(spec, xcols, xa, xc, counter=None):
+    """Write X~ (the columns of ``xcols`` over a row of ones) into ``xa`` and,
+    for CR-PNN II, X~^c into ``xc``; returns X~^c, or None for CR-PNN I,
+    which leaves ``xc`` untouched."""
     xa[:-1] = xcols
     xa[-1] = 1.0
-    return xa
+    if spec.variant != CRPNN2:
+        return None
+    return power(xa, spec.plan.power, out=xc, counter=counter)
 
 
 def _layers(weights, xa, xc, slots, y, counter=None):
-    """The weighted layers on the caller's buffers: hidden layer i writes
-    ``slots[i % len(slots)]``, which must not hold X~ or X~^c while a later
-    layer reads it, and the output layer writes ``y``, which is returned."""
+    """The weighted layers on the caller's buffers, straight on the kernels.
+
+    Hidden layer i writes ``slots[i % len(slots)]``, which must not hold X~
+    or X~^c while a later layer reads it: one slot per hidden layer keeps
+    the cache backprop reads, two make a ping-pong pair.  The output layer
+    writes ``y``, which is returned.  Callers run it under ``np.errstate``
+    so that overflow yields inf/nan, and check ``y`` where it must be finite.
+    """
     a = xa
     for i, w in enumerate(weights[:-1]):
         gate = xc if i == 0 and xc is not None else xa
@@ -260,8 +256,6 @@ def load_model(data):
             w = np.asarray(flat, dtype=np.float64).reshape(rows, cols)
         except (TypeError, ValueError) as exc:
             raise ModelFormatError(f"weight matrix {idx} has non-numeric data: {exc}") from exc
-        if not np.isfinite(w).all():
-            raise ModelFormatError(f"weight matrix {idx} contains non-finite entries")
         weights.append(np.ascontiguousarray(w))
 
     _validate_weights(spec, weights)

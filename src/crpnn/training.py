@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import ShapeError, as_array
-from .network import CRPNN2, _augmented, _checked_weights, _layers, _run_layers, predict_batch
+from .network import CRPNN2, _checked_weights, _fill_inputs, _layers, predict_batch
 
 DIVERGENCE_CEILING = 1e12
 GRAD_CHECK_MAX_PARAMS = 2000
@@ -115,9 +115,13 @@ def backward(model, inputs, targets):
     weights = _checked_weights(spec, model.weights)
     block = np.empty((len(weights) - 1, spec.n + 1, spec.n + 1))
     grads = [*block, np.empty((spec.m, spec.n + 1))]
+    # X~, one cache slot per hidden layer and, for CR-PNN II, X~^c last
+    operands = np.empty((len(weights) + (spec.variant == CRPNN2), spec.n + 1, inputs.shape[1]))
+    acts = [*operands[: len(weights)]]
     with np.errstate(over="ignore", invalid="ignore"):
-        y, xa, xc, acts = _run_layers(spec, weights, inputs, None, True)
-        _errors(weights, xa, xc, acts, y, targets, block, grads)
+        xc = _fill_inputs(spec, inputs, acts[0], operands[-1])
+        y = _layers(weights, acts[0], xc, acts[1:], np.empty(targets.shape))
+        _errors(weights, acts[0], xc, acts, y, targets, block, grads)
     return grads
 
 
@@ -184,12 +188,13 @@ def train(model, dataset, config, metrics_path=None):
     full-batch runs never touch the RNG.
 
     Model and dataset are checked once, before ``metrics_path`` is opened.
-    The weights are packed into float64 blocks, X~ and X~^c built once over
-    the dataset, and each batch width (at most two) gets its buffers once.
-    Each step gathers its columns, runs forward and backward there and
-    updates the blocks in place, rounding as ``w -= lr * g`` does.  The
-    weights are written back into the model's own arrays, in their own dtype
-    and layout, when the call returns or raises.
+    The weights are packed into float64 blocks, X~, X~^c and the targets
+    written once as rows of one block over the dataset, and each batch width
+    (at most two) gets its buffers once.  A minibatch step gathers its
+    columns with one ``take`` (a full-batch step gathers nothing), runs
+    forward and backward there and updates the blocks in place, rounding as
+    ``w -= lr * g`` does.  The weights are written back into the model's own
+    arrays, in their own dtype and layout, when the call returns or raises.
     """
     inputs = as_array(dataset.inputs, 2, "dataset inputs")
     targets = as_array(dataset.targets, 2, "dataset targets")
@@ -213,24 +218,23 @@ def train(model, dataset, config, metrics_path=None):
             w[...] = src
         grad_block = _aligned_empty(block.shape)
         grads = [*grad_block, np.empty_like(weights[-1])]
-        xa = _augmented(inputs, _aligned_empty)
-        xc = None
-        if spec.variant == CRPNN2:
-            xc = kernels.power(xa, spec.plan.power, out=_aligned_empty(xa.shape))
-        full = (xa, xc, targets)
+        # X~, X~^c (CR-PNN II) and the targets share one block: one take per step
+        rows = width * (1 + (spec.variant == CRPNN2))
+        full = _aligned_empty((rows + spec.m, total))
+        xa = full[:width]
+        xc = _fill_inputs(spec, inputs, xa, full[width:rows])
+        full[rows:] = targets
 
-        def buffers(cols):  # the batch's columns of full, its cache and output
-            batch_in = full if cols == total else [
-                a if a is None else _aligned_empty((len(a), cols)) for a in full
-            ]
+        work = {}  # per batch width: its columns of full, split as full is, its cache and output
+        for cols in {batch, total % batch} - {0}:
+            data = full if cols == total else _aligned_empty((len(full), cols))
+            split = data[:width], (None if xc is None else data[width:rows]), data[rows:]
             cache = [*_aligned_empty((len(block), width, cols))]
-            return batch_in, cache, _aligned_empty((spec.m, cols))
-
-        work = {cols: buffers(cols) for cols in {batch, total % batch} - {0}}
+            work[cols] = data, split, cache, _aligned_empty((spec.m, cols))
         if batch < total:
             slots, out = [*_aligned_empty((2, width, total))], _aligned_empty(targets.shape)
         else:
-            slots, out = work[total][1][:2], work[total][2]
+            slots, out = work[total][2][:2], work[total][3]
 
         def metric():
             return loss_mse(_layers(weights, xa, xc, slots, out), targets)
@@ -246,12 +250,9 @@ def train(model, dataset, config, metrics_path=None):
             for epoch in range(config.epochs):
                 order = rng.permutation(total) if batch < total else None
                 for lo in range(0, total, batch):
-                    batch_in, cache, y = work[min(batch, total - lo)]
+                    data, (b_xa, b_xc, b_targets), cache, y = work[min(batch, total - lo)]
                     if order is not None:  # mode="clip" writes out= without a buffer copy
-                        for src, dst in zip(full, batch_in):
-                            if src is not None:
-                                src.take(order[lo : lo + batch], axis=1, out=dst, mode="clip")
-                    b_xa, b_xc, b_targets = batch_in
+                        full.take(order[lo : lo + batch], axis=1, out=data, mode="clip")
                     _layers(weights, b_xa, b_xc, cache, y)
                     _errors(weights, b_xa, b_xc, [b_xa, *cache], y, b_targets, grad_block, grads)
                     grad_block *= lr

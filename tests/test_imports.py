@@ -1,12 +1,16 @@
-"""Every name a module of the package or of its tests imports is used there.
+"""Every name a module of the package or of its tests imports is used there,
+and the package names every module-level private function of its own
+outside that function's body.
 
 No linter is a dependency of the project, so this stands in for pyflakes'
 unused-import check.  ``__init__.py`` is left out: its imports are the
-package's public surface.
+package's public surface.  A private helper that only tests keep alive is
+dead code, so only references inside ``src/`` count.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -40,3 +44,44 @@ def test_checker_finds_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_functions(sources):
+    """Module-level ``_private`` functions that no code names outside their own
+    definition; ``sources`` are the texts of every module that may name them."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {
+        node.name: node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    used = Counter(name for tree in trees for name in names(tree))
+    return sorted(name for name, node in defined.items() if used[name] == Counter(names(node))[name])
+
+
+def test_checker_finds_an_unreferenced_private_function():
+    caller = "from .lib import _used\ndef run():\n    return _used() + lib._attr()\n"
+    lib = (
+        "def _used():\n    return 1\n"
+        "def _attr():\n    return 2\n"
+        "def _recursive(k):\n    return _recursive(k - 1)\n"
+        "def _dead():\n    return 3\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+    )
+    assert unreferenced_private_functions([caller, lib]) == ["_dead", "_recursive"]
+
+
+def test_every_private_function_is_called_from_the_package():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unreferenced_private_functions(sources) == []

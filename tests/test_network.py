@@ -10,7 +10,6 @@ from crpnn.network import (
     CrpnnModel,
     ModelFormatError,
     NetworkSpec,
-    _forward_cols,
     forward,
     init_weights,
     load_model,
@@ -185,6 +184,21 @@ def test_load_rejects_garbage_and_nonfinite():
         load_model(broken.encode())
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_save_and_load_reject_a_non_finite_weight_alike(bad):
+    import json
+
+    model = init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=0)
+    doc = json.loads(save_model(model))
+    doc["weights"][1]["data"][0] = bad  # json.dumps writes NaN / Infinity
+    model.weights[1][0, 0] = bad
+    message = "weight matrix 1 contains non-finite entries"
+    with pytest.raises(ModelFormatError, match=message):
+        save_model(model)
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(json.dumps(doc).encode())
+
+
 def test_load_rejects_inconsistent_plan():
     model = init_weights(NetworkSpec.crpnn2(2, 1, 6), seed=0)
     blob = save_model(model).decode()
@@ -223,38 +237,30 @@ ENGINE_SPECS = [
 
 
 def reference_forward(model, xs):
-    """Allocate-per-op forward pass: output, X~, X~^c and every layer input."""
+    """Allocate-per-op forward pass, one fresh array per op."""
     xa = np.vstack([xs, np.ones((1, xs.shape[1]))])
     xc = None
     if model.spec.variant == CRPNN2:
         xc = xa.copy()
         for _ in range(model.spec.plan.power - 1):
             xc = xc * xa
-    acts = [xa]
+    a = xa
     for i, w in enumerate(model.weights[:-1]):
-        acts.append((w @ acts[-1]) * (xc if i == 0 and xc is not None else xa))
-    return model.weights[-1] @ acts[-1], xa, xc, acts
+        a = (w @ a) * (xc if i == 0 and xc is not None else xa)
+    return model.weights[-1] @ a
 
 
+# X~, X~^c and the cached layer inputs are not returned by any public pass;
+# the gradients of test_training.py's
+# test_backward_is_bit_identical_to_allocating_reference read every one of them.
 @pytest.mark.parametrize("cols", [1, 33])
 @pytest.mark.parametrize("sizing", ENGINE_SPECS)
 def test_forward_is_bit_identical_to_allocating_reference(sizing, cols):
     model = init_weights(NetworkSpec.create(*sizing), seed=4)
     xs = np.random.default_rng(cols).uniform(-1, 1, size=(sizing[1], cols))
-    y_ref, xa_ref, xc_ref, acts_ref = reference_forward(model, xs)
-    np.testing.assert_array_equal(predict_batch(model, xs), y_ref)
-    single = reference_forward(model, xs[:, :1])[0].ravel()
+    np.testing.assert_array_equal(predict_batch(model, xs), reference_forward(model, xs))
+    single = reference_forward(model, xs[:, :1]).ravel()
     np.testing.assert_array_equal(forward(model, xs[:, 0]), single)
-    y, xa, xc, acts = _forward_cols(model, xs, want_cache=True)
-    np.testing.assert_array_equal(y, y_ref)
-    np.testing.assert_array_equal(xa, xa_ref)
-    if xc_ref is None:
-        assert xc is None
-    else:
-        np.testing.assert_array_equal(xc, xc_ref)
-    assert len(acts) == len(acts_ref)
-    for a, a_ref in zip(acts, acts_ref):
-        np.testing.assert_array_equal(a, a_ref)
 
 
 @pytest.mark.parametrize("sizing", ENGINE_SPECS)
@@ -275,7 +281,6 @@ def test_forward_leaves_caller_input_unmodified(sizing):
     before = xs.copy()
     predict_batch(model, xs)
     forward(model, xs[:, 3])
-    _forward_cols(model, xs, want_cache=True)
     np.testing.assert_array_equal(xs, before)
 
 
@@ -288,8 +293,6 @@ def test_too_few_weight_matrices_raise_shape_error():
         predict_batch(model, xs)
     with pytest.raises(ShapeError, match=r"expected 3 weight matrices"):
         forward(model, xs[:, 0])
-    with pytest.raises(ShapeError, match=r"expected 3 weight matrices"):
-        _forward_cols(model, xs, want_cache=True)
 
 
 @pytest.mark.parametrize("layer", [0, -1])

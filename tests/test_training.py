@@ -1,7 +1,11 @@
+import pathlib
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crpnn.datagen import Dataset
 from crpnn.linalg import ShapeError
@@ -446,6 +450,37 @@ def test_overflow_mid_epoch_leaves_the_weights_of_the_loop_of_public_calls(tmp_p
     assert not all(np.array_equal(w, b) for w, b in zip(model.weights, before))
 
 
+@st.composite
+def train_cases(draw):
+    variant = draw(st.sampled_from([CRPNN1, CRPNN2]))
+    n = draw(st.integers(1, 4))
+    low = n + 2 if variant == CRPNN2 else 1
+    spec = NetworkSpec.create(variant, n, draw(st.integers(1, 2)), draw(st.integers(low, low + 5)))
+    samples = draw(st.integers(1, 40))
+    batch_sizes = [None, 1, samples]
+    non_divisors = [b for b in range(2, samples) if samples % b]
+    if non_divisors:
+        batch_sizes.append(draw(st.sampled_from(non_divisors)))
+    config = TrainConfig(
+        learning_rate=draw(st.sampled_from([0.05, 0.5, 1e4])),  # 1e4 can diverge
+        epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.sampled_from(batch_sizes)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        lr_decay=draw(st.sampled_from([None, 0.9])),
+    )
+    model = init_weights(spec, seed=draw(st.integers(0, 2**32 - 1)))
+    return model, dataset_for(spec, samples, draw(st.integers(0, 2**32 - 1))), config
+
+
+@settings(max_examples=80, deadline=None)
+@given(train_cases())
+def test_train_is_bit_identical_to_the_loop_of_public_calls_on_any_sizing(case):
+    # guards the one-take gather of X~, X~^c and the targets for every batch width
+    model, dataset, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_train_matches_reference(model, dataset, config, pathlib.Path(tmp) / "m.csv")
+
+
 @pytest.mark.parametrize("cut", ["count", "shape"])
 def test_bad_weights_raise_before_the_metrics_file_is_opened(tmp_path, cut):
     spec = NetworkSpec.crpnn1(2, 1, 3)
@@ -502,3 +537,23 @@ def test_train_writes_back_into_the_callers_arrays(variant, batch_size):
     # float32 weights train as their float64 copy and are rounded once, at the end
     for w_s, w_d in zip(single.weights, single_as_double.weights):
         np.testing.assert_array_equal(w_s, w_d.astype(np.float32), strict=True)
+
+
+@pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
+@pytest.mark.parametrize("samples, batch_size", [(5000, None), (2000, 32), (5000, 32)])
+def test_train_operands_start_on_64_byte_boundaries(monkeypatch, variant, samples, batch_size):
+    # the benchmark widths: K=5000 full batch, B=32 with short batches of 16 and 8
+    import crpnn.training
+
+    offsets = set()
+
+    def recording_layers(weights, xa, xc, slots, y, counter=None):
+        offsets.update(a.ctypes.data % 64 for a in [xa, *slots] + ([] if xc is None else [xc]))
+        return layers(weights, xa, xc, slots, y, counter)
+
+    layers = crpnn.training._layers
+    monkeypatch.setattr(crpnn.training, "_layers", recording_layers)
+    spec = NetworkSpec.create(variant, 5, 1, 14)
+    config = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=batch_size, seed=0)
+    train(init_weights(spec, seed=0), dataset_for(spec, samples, 0), config)
+    assert offsets == {0}
