@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import kernels
-from .datagen import SINE_INPUT_DIM, sample_sine_trajectory
+from .datagen import default_inputs
 from .linalg import MultiplyCounter
 from .network import CRPNN1, CRPNN2, NetworkSpec, init_weights, predict_batch
 from .topology import mult_count_crpnn1, mult_count_crpnn2
@@ -85,12 +85,6 @@ class BenchReport:
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _bench_inputs(n, samples, rng):
-    if n == SINE_INPUT_DIM:
-        return sample_sine_trajectory(samples)
-    return rng.uniform(-1.0, 1.0, size=(n, samples))
-
-
 def _stats(values):
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
@@ -116,7 +110,7 @@ def run_bench(protocol):
             run_seed = protocol.seed + run
             rng = np.random.default_rng(run_seed)
             model = init_weights(spec, seed=run_seed)
-            inputs = np.ascontiguousarray(_bench_inputs(protocol.n, protocol.samples, rng))
+            inputs = np.ascontiguousarray(default_inputs(protocol.n, protocol.samples, rng))
             targets = rng.uniform(-1.0, 1.0, size=(protocol.m, protocol.samples))
 
             # untimed warm-up forward doubles as the instrumented count audit

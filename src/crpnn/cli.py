@@ -18,12 +18,11 @@ import numpy as np
 from . import bench as bench_mod
 from .csvio import write_csv
 from .datagen import (
+    default_inputs,
     gen_random_polynomial,
     make_dataset,
     read_dataset_csv,
-    sample_sine_trajectory,
     write_dataset_csv,
-    SINE_INPUT_DIM,
 )
 from .network import (
     VARIANTS,
@@ -180,23 +179,18 @@ def _write_or_print(payload, path):
         raise
 
 
-def _gen_inputs(n, samples, t_start, t_end, seed):
-    if n == SINE_INPUT_DIM:
-        return sample_sine_trajectory(samples, t_start, t_end)
-    # the five-sine trajectory is 5-dimensional; other dims use seeded uniforms
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, samples))
-
-
 def cmd_gen(args):
     seed = _resolve_seed(args.seed)
     target = gen_random_polynomial(
         args.n, args.degree, args.items, args.coeff_low, args.coeff_high, seed
     )
-    _write_or_print(export_spectrum(target.spectrum), args.out)
+    outputs = [(export_spectrum(target.spectrum), args.out)]
     if args.data_out:
-        inputs = _gen_inputs(args.n, args.samples, args.t_start, args.t_end, seed)
-        dataset = make_dataset(target, inputs)
-        _write_or_print(write_dataset_csv(dataset), args.data_out)
+        rng = np.random.default_rng(seed)
+        inputs = default_inputs(args.n, args.samples, rng, args.t_start, args.t_end)
+        outputs.append((write_dataset_csv(make_dataset(target, inputs)), args.data_out))
+    for payload, path in outputs:
+        _write_or_print(payload, path)
     return 0
 
 
@@ -213,8 +207,11 @@ def cmd_train(args):
         seed=seed,
         lr_decay=args.lr_decay,
     )
-    model, record = train(model, dataset, config, metrics_path=args.metrics_out)
+    model, record = train(model, dataset, config)
     _write_or_print(save_model(model), args.model_out)
+    if args.metrics_out:
+        rows = enumerate(record.mse_per_epoch)
+        _write_or_print(write_csv(["epoch", "mse"], rows), args.metrics_out)
     print(f"final_mse={record.final_mse!r}")
     return 0
 

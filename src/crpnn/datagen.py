@@ -60,6 +60,8 @@ class Dataset:
                 f"inputs have {self.inputs.shape[1]} columns, "
                 f"targets {self.targets.shape[1]}"
             )
+        if self.inputs.shape[1] == 0:
+            raise ShapeError("dataset has no samples")
         check_finite(self.inputs, "dataset inputs")
         check_finite(self.targets, "dataset targets")
 
@@ -139,6 +141,16 @@ def sample_sine_trajectory(n_samples, t_start=0.0, t_end=7.0):
             np.sin(11.0 * t),
         ]
     )
+
+
+def default_inputs(n, samples, rng, t_start=0.0, t_end=7.0):
+    """Column samples (n x K): the five-sine trajectory when n is 5, which
+    leaves ``rng`` untouched, otherwise uniforms on [-1, 1] drawn from it."""
+    if n == SINE_INPUT_DIM:
+        return sample_sine_trajectory(samples, t_start, t_end)
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
+    return rng.uniform(-1.0, 1.0, size=(n, samples))
 
 
 def make_dataset(target, inputs):

@@ -208,6 +208,14 @@ def save_model(model):
     return (json.dumps(doc, allow_nan=False) + "\n").encode("utf-8")
 
 
+def _json_int(doc, key):
+    """doc[key], refusing a float or bool that int() would truncate or accept."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def load_model(data):
     """Parse a model document produced by :func:`save_model`."""
     try:
@@ -218,11 +226,11 @@ def load_model(data):
         raise ModelFormatError("model document must be a JSON object")
     try:
         variant = doc["variant"]
-        n = int(doc["n"])
-        m = int(doc["m"])
-        order = int(doc["order"])
+        n = _json_int(doc, "n")
+        m = _json_int(doc, "m")
+        order = _json_int(doc, "order")
         raw_weights = doc["weights"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"model document is missing or mistypes a field: {exc}") from exc
 
     try:
@@ -244,8 +252,8 @@ def load_model(data):
     weights = []
     for idx, entry in enumerate(raw_weights):
         try:
-            rows, cols, flat = int(entry["rows"]), int(entry["cols"]), entry["data"]
-        except (KeyError, TypeError, ValueError) as exc:
+            rows, cols, flat = _json_int(entry, "rows"), _json_int(entry, "cols"), entry["data"]
+        except (KeyError, TypeError) as exc:
             raise ModelFormatError(f"weight matrix {idx} is malformed: {exc}") from exc
         if not isinstance(flat, list) or len(flat) != rows * cols:
             raise ModelFormatError(

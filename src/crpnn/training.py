@@ -7,6 +7,9 @@ weight update carries a 1/B prefactor.  The reported metric is the plain
 entry-averaged MSE, which equals 2*J at full batch for single-output models
 (m * MSE / 2 == J in general).
 
+Training is arithmetic only: it opens no file and reads no clock.  A caller
+that wants the per-epoch MSEs on disk writes them from the returned record.
+
 Backward chain, innermost layer last (X~ is the bias-augmented input):
 
 * output layer:   dZ = dA
@@ -16,7 +19,6 @@ Backward chain, innermost layer last (X~ is the bias-augmented input):
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,8 +62,6 @@ def _check_rate(name, value):
 class TrainRecord:
     mse_per_epoch: list = field(default_factory=list)
     final_mse: float = float("nan")
-    epochs_run: int = 0
-    wall_seconds: float = 0.0
 
 
 def loss_mse(predictions, targets):
@@ -179,22 +179,22 @@ def _aligned_empty(shape):
     return raw[start : start + nbytes].view(np.float64).reshape(shape)
 
 
-def train(model, dataset, config, metrics_path=None):
+def train(model, dataset, config):
     """Run (mini)batch gradient descent; returns (model, TrainRecord).
 
-    Records the full-dataset MSE after every epoch (also streamed to
-    ``metrics_path`` as `epoch,mse` rows when given) and aborts loudly if it
-    goes non-finite or above 1e12.  Deterministic for a given config seed;
-    full-batch runs never touch the RNG.
+    Records the full-dataset MSE after every epoch and aborts loudly if it
+    goes non-finite or above 1e12: the TrainingDivergedError names the epoch
+    and the MSE, and no record is returned.  Deterministic for a given config
+    seed; full-batch runs never touch the RNG.
 
-    Model and dataset are checked once, before ``metrics_path`` is opened.
-    The weights are packed into float64 blocks, X~, X~^c and the targets
-    written once as rows of one block over the dataset, and each batch width
-    (at most two) gets its buffers once.  A minibatch step gathers its
-    columns with one ``take`` (a full-batch step gathers nothing), runs
-    forward and backward there and updates the blocks in place, rounding as
-    ``w -= lr * g`` does.  The weights are written back into the model's own
-    arrays, in their own dtype and layout, when the call returns or raises.
+    Model and dataset are checked once, before the first step.  The weights
+    are packed into float64 blocks, X~, X~^c and the targets written once as
+    rows of one block over the dataset, and each batch width (at most two)
+    gets its buffers once.  A minibatch step gathers its columns with one
+    ``take`` (a full-batch step gathers nothing), runs forward and backward
+    there and updates the blocks in place, rounding as ``w -= lr * g`` does.
+    The weights are written back into the model's own arrays, in their own
+    dtype and layout, when the call returns or raises.
     """
     inputs = as_array(dataset.inputs, 2, "dataset inputs")
     targets = as_array(dataset.targets, 2, "dataset targets")
@@ -242,11 +242,7 @@ def train(model, dataset, config, metrics_path=None):
         rng = np.random.default_rng(config.seed)
         lr = config.learning_rate
         record = TrainRecord()
-        start = time.perf_counter()
-        metrics_file = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
         try:
-            if metrics_file:
-                metrics_file.write("epoch,mse\n")
             for epoch in range(config.epochs):
                 order = rng.permutation(total) if batch < total else None
                 for lo in range(0, total, batch):
@@ -261,12 +257,7 @@ def train(model, dataset, config, metrics_path=None):
                     weights[-1] -= grads[-1]
                 mse = metric()
                 record.mse_per_epoch.append(mse)
-                record.epochs_run = epoch + 1
-                if metrics_file:
-                    metrics_file.write(f"{epoch},{mse!r}\n")
-                    metrics_file.flush()
                 if not np.isfinite(mse) or mse > DIVERGENCE_CEILING:
-                    record.wall_seconds = time.perf_counter() - start
                     raise TrainingDivergedError(
                         f"training diverged at epoch {epoch}: mse={mse!r} "
                         f"(learning rate {lr!r} too large for this topology?)"
@@ -277,9 +268,6 @@ def train(model, dataset, config, metrics_path=None):
         finally:
             for w, trained in zip(model.weights, weights):
                 np.copyto(w, trained)
-            if metrics_file:
-                metrics_file.close()
-    record.wall_seconds = time.perf_counter() - start
     return model, record
 
 

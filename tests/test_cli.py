@@ -6,11 +6,12 @@ import pytest
 
 from crpnn import cli
 from crpnn.cli import main, parse_cli
-from crpnn.datagen import CapacityError, DatasetFormatError
+from crpnn.datagen import CapacityError, DatasetFormatError, read_dataset_csv
 from crpnn.linalg import ShapeError
 from crpnn.network import CrpnnModel, ModelFormatError, NetworkSpec, init_weights, save_model
 from crpnn.spectrum import SpectrumFormatError, SpectrumSizeError, import_spectrum
 from crpnn.topology import TopologyError
+from crpnn.training import TrainConfig, train
 
 
 def test_parse_gen():
@@ -77,6 +78,51 @@ def test_gen_train_eval_pipeline(tmp_path, capsys):
     lines = preds.read_text().strip().split("\n")
     assert lines[0] == "t_index,actual,predicted"
     assert len(lines) == 81
+
+
+def test_train_metrics_out_holds_the_records_mse_per_epoch(tmp_path):
+    data, metrics = tmp_path / "d.csv", tmp_path / "metrics.csv"
+    main(["gen", "--n", "2", "--degree", "3", "--items", "5", "--seed", "4",
+          "--out", str(tmp_path / "t.csv"), "--data-out", str(data), "--samples", "50"])
+    assert main(["train", "--variant", "crpnn1", "--order", "3", "--data", str(data),
+                 "--epochs", "12", "--lr", "0.05", "--lr-decay", "0.9", "--batch-size", "16",
+                 "--seed", "6", "--model-out", str(tmp_path / "m.json"),
+                 "--metrics-out", str(metrics)]) == 0
+    model = init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=6)
+    config = TrainConfig(learning_rate=0.05, epochs=12, batch_size=16, seed=6, lr_decay=0.9)
+    _, record = train(model, read_dataset_csv(data.read_bytes()), config)
+    rows = "".join(f"{e},{mse!r}\n" for e, mse in enumerate(record.mse_per_epoch))
+    assert metrics.read_bytes() == ("epoch,mse\n" + rows).encode()
+
+
+def test_diverging_train_exits_1_and_leaves_its_outputs_alone(tmp_path, capsys):
+    data, model, metrics = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "metrics.csv"
+    main(["gen", "--n", "2", "--degree", "3", "--items", "5", "--seed", "4",
+          "--out", str(tmp_path / "t.csv"), "--data-out", str(data), "--samples", "50"])
+    model.write_bytes(b"old model\n")
+    metrics.write_bytes(b"old metrics\n")
+    capsys.readouterr()
+    assert main(["train", "--variant", "crpnn1", "--order", "3", "--data", str(data),
+                 "--epochs", "500", "--lr", "50", "--model-out", str(model),
+                 "--metrics-out", str(metrics)]) == 1
+    assert "error: training diverged at epoch" in capsys.readouterr().err
+    assert model.read_bytes() == b"old model\n"
+    assert metrics.read_bytes() == b"old metrics\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json", "metrics.csv", "t.csv"]
+
+
+@pytest.mark.parametrize(
+    "n, samples, message",
+    [("2", "0", "need at least 1 sample, got 0"), ("2", "-2", "need at least 1 sample, got -2"),
+     ("5", "1", "need at least 2 samples, got 1")],
+)
+def test_gen_writes_nothing_when_its_dataset_cannot_be_built(tmp_path, capsys, n, samples, message):
+    rc = main(["gen", "--n", n, "--degree", "3", "--items", "4", "--seed", "1",
+               "--out", str(tmp_path / "t.csv"), "--data-out", str(tmp_path / "d.csv"),
+               "--samples", samples])
+    assert rc == 1
+    assert f"crpnn gen: error: {message}\n" == capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_topology_error_exits_1(tmp_path, capsys):
@@ -300,10 +346,15 @@ def test_cli_exits_1_when_an_output_cannot_be_replaced(tmp_path, monkeypatch):
     (tmp_path / "m.json").write_bytes(save_model(model))
     out = tmp_path / "s.csv"
     out.write_bytes(b"old\n")
+    (tmp_path / "d.csv").write_bytes(b"x1,x2,y1\n0.1,0.2,0.3\n-0.4,0.5,0.6\n")
     monkeypatch.setattr(cli.os, "replace", _fail_replace)
     assert main(["spectrum", "--model", str(tmp_path / "m.json"), "--out", str(out)]) == 1
     assert out.read_bytes() == b"old\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "s.csv"]
+    # the model goes to a device, written in place, so the metrics write is the one that fails
+    assert main(["train", "--variant", "crpnn1", "--order", "2", "--data", str(tmp_path / "d.csv"),
+                 "--epochs", "3", "--model-out", os.devnull, "--metrics-out", str(out)]) == 1
+    assert out.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json", "s.csv"]
 
 
 def test_write_replaces_whole_files_through_links_and_streams_devices(tmp_path):

@@ -7,6 +7,7 @@ from crpnn.datagen import (
     CapacityError,
     Dataset,
     DatasetFormatError,
+    default_inputs,
     gen_random_polynomial,
     make_dataset,
     read_dataset_csv,
@@ -116,6 +117,17 @@ def test_sine_trajectory_validation():
         sample_sine_trajectory(10, 3.0, 3.0)
 
 
+def test_default_inputs_draw_from_the_callers_generator_off_the_sine_dimension():
+    rng = np.random.default_rng(3)
+    xs = default_inputs(5, 40, rng, 0.0, 2.0)
+    np.testing.assert_array_equal(xs, sample_sine_trajectory(40, 0.0, 2.0))
+    assert rng.uniform() == np.random.default_rng(3).uniform()  # left untouched
+    expected = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 40))
+    np.testing.assert_array_equal(default_inputs(3, 40, np.random.default_rng(4)), expected)
+    with pytest.raises(ValueError, match="need at least 1 sample, got 0"):
+        default_inputs(3, 0, rng)
+
+
 def test_make_dataset_constant_target():
     target = gen_random_polynomial(2, 0, 1, coeff_low=1.0, coeff_high=1.0, seed=0)
     ds = make_dataset(target, np.zeros((2, 4)))
@@ -177,3 +189,5 @@ def test_dataset_csv_errors_carry_line_numbers():
 def test_dataset_validates_shapes():
     with pytest.raises(ShapeError):
         Dataset(inputs=np.ones((2, 3)), targets=np.ones((1, 4)))
+    with pytest.raises(ShapeError, match="dataset has no samples"):
+        Dataset(inputs=np.ones((2, 0)), targets=np.ones((1, 0)))

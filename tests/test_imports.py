@@ -1,6 +1,6 @@
 """Every name a module of the package or of its tests imports is used there,
-and the package names every module-level private function of its own
-outside that function's body.
+the package names every module-level private function of its own outside
+that function's body, and only the CLI opens files.
 
 No linter is a dependency of the project, so this stands in for pyflakes'
 unused-import check.  ``__init__.py`` is left out: its imports are the
@@ -85,3 +85,23 @@ def test_checker_finds_an_unreferenced_private_function():
 def test_every_private_function_is_called_from_the_package():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_functions(sources) == []
+
+
+def open_calls(source):
+    """Line numbers of the calls to the builtin ``open`` in a module."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"
+    ]
+
+
+def test_checker_finds_a_call_to_open():
+    source = "import io\nwith open(p) as fh:\n    io.open(p)\n    fh.open()\nf = open\n"
+    assert open_calls(source) == [2]
+
+
+def test_only_the_cli_opens_files():
+    # the library computes and returns; reading inputs and writing outputs is the CLI's job
+    openers = {p.name: open_calls(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in openers.items() if lines and name != "cli.py"} == {}

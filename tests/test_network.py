@@ -199,6 +199,24 @@ def test_save_and_load_reject_a_non_finite_weight_alike(bad):
         load_model(json.dumps(doc).encode())
 
 
+@pytest.mark.parametrize(
+    "keys, value",
+    [(("order",), 3.9), (("n",), 2.0), (("m",), True),
+     (("weights", 0, "rows"), 3.7), (("weights", 1, "cols"), "3")],
+    ids=["order-float", "n-integral-float", "m-bool", "rows-float", "cols-string"],
+)
+def test_load_rejects_sizes_that_are_not_json_integers(keys, value):
+    import json
+
+    doc = json.loads(save_model(init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=0)))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(ModelFormatError, match=f"'{keys[-1]}' must be a JSON integer"):
+        load_model(json.dumps(doc).encode())
+
+
 def test_load_rejects_inconsistent_plan():
     model = init_weights(NetworkSpec.crpnn2(2, 1, 6), seed=0)
     blob = save_model(model).decode()

@@ -1,5 +1,3 @@
-import pathlib
-import tempfile
 import tracemalloc
 
 import numpy as np
@@ -150,7 +148,6 @@ def test_train_converges_on_realizable_quadratic():
     model = init_weights(NetworkSpec.crpnn1(2, 1, 2), seed=0)
     model, record = train(model, ds, TrainConfig(learning_rate=0.05, epochs=4000, seed=0))
     assert record.final_mse < 1e-4
-    assert record.epochs_run == 4000
     assert len(record.mse_per_epoch) == 4000
 
 
@@ -160,7 +157,6 @@ def test_train_zero_epochs_is_identity():
     before = [w.copy() for w in model.weights]
     model, record = train(model, ds, TrainConfig(epochs=0))
     assert record.mse_per_epoch == []
-    assert record.epochs_run == 0
     assert np.isfinite(record.final_mse)
     for w, b in zip(model.weights, before):
         np.testing.assert_array_equal(w, b)
@@ -192,17 +188,6 @@ def test_train_divergence_aborts_loudly():
     model = init_weights(NetworkSpec.crpnn1(2, 1, 2), seed=0)
     with pytest.raises(TrainingDivergedError, match="diverged"):
         train(model, ds, TrainConfig(learning_rate=50.0, epochs=500, seed=0))
-
-
-def test_train_writes_metrics_incrementally(tmp_path):
-    ds = quadratic_dataset()
-    model = init_weights(NetworkSpec.crpnn1(2, 1, 2), seed=0)
-    path = tmp_path / "metrics.csv"
-    _, record = train(model, ds, TrainConfig(epochs=5), metrics_path=str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "epoch,mse"
-    assert len(lines) == 6
-    assert float(lines[1].split(",")[1]) == record.mse_per_epoch[0]
 
 
 def test_lr_decay_changes_trajectory():
@@ -355,15 +340,15 @@ def reference_train(model, dataset, config):
     """train() written as the loop of public calls it replaced.
 
     Per batch backward + sgd_step, per epoch loss_mse of predict_batch.
-    Returns the epoch MSEs, the metrics file text and the error raised (or
-    None); the model is left as the loop left it.
+    Returns the epoch MSEs and the error raised (or None); the model is left
+    as the loop left it.
     """
     inputs, targets = dataset.inputs, dataset.targets
     total = inputs.shape[1]
     batch = config.batch_size or total
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
-    mses, text = [], "epoch,mse\n"
+    mses = []
     try:
         for epoch in range(config.epochs):
             if batch < total:
@@ -375,7 +360,6 @@ def reference_train(model, dataset, config):
                 sgd_step(model, backward(model, inputs, targets), lr)
             mse = loss_mse(predict_batch(model, inputs), targets)
             mses.append(mse)
-            text += f"{epoch},{mse!r}\n"
             if not np.isfinite(mse) or mse > 1e12:
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch}: mse={mse!r} "
@@ -384,15 +368,15 @@ def reference_train(model, dataset, config):
             if config.lr_decay is not None:
                 lr *= config.lr_decay
     except (TrainingDivergedError, FloatingPointError) as exc:
-        return mses, text, exc
-    return mses, text, None
+        return mses, exc
+    return mses, None
 
 
-def assert_train_matches_reference(model, dataset, config, path):
+def assert_train_matches_reference(model, dataset, config):
     expected = model.copy()
-    ref_mses, ref_text, ref_err = reference_train(expected, dataset, config)
+    ref_mses, ref_err = reference_train(expected, dataset, config)
     try:
-        _, record = train(model, dataset, config, metrics_path=str(path))
+        _, record = train(model, dataset, config)
         err = None
     except (TrainingDivergedError, FloatingPointError) as exc:
         record, err = None, exc
@@ -400,7 +384,6 @@ def assert_train_matches_reference(model, dataset, config, path):
     if err is None:
         assert record.mse_per_epoch == ref_mses
         assert record.final_mse == ref_mses[-1]
-    assert path.read_bytes() == ref_text.encode()
     for w, w_ref in zip(model.weights, expected.weights, strict=True):
         np.testing.assert_array_equal(w, w_ref, strict=True)
     return err
@@ -415,12 +398,12 @@ def dataset_for(spec, samples, seed):
 @pytest.mark.parametrize("lr_decay", [None, 0.9])
 @pytest.mark.parametrize("batch_size", [None, 8])
 @pytest.mark.parametrize("sizing", [(CRPNN1, 2, 1, 5), (CRPNN1, 3, 2, 4), (CRPNN2, 2, 1, 8), (CRPNN2, 2, 2, 7)])
-def test_train_is_bit_identical_to_the_loop_of_public_calls(tmp_path, sizing, batch_size, lr_decay):
+def test_train_is_bit_identical_to_the_loop_of_public_calls(sizing, batch_size, lr_decay):
     # K=37 and B=8 leave a short last batch of 5 columns
     spec = NetworkSpec.create(*sizing)
     model = init_weights(spec, seed=2)
     config = TrainConfig(learning_rate=0.05, epochs=4, batch_size=batch_size, seed=3, lr_decay=lr_decay)
-    err = assert_train_matches_reference(model, dataset_for(spec, 37, 1), config, tmp_path / "m.csv")
+    err = assert_train_matches_reference(model, dataset_for(spec, 37, 1), config)
     assert err is None
 
 
@@ -428,16 +411,16 @@ def test_train_is_bit_identical_to_the_loop_of_public_calls(tmp_path, sizing, ba
     "variant, batch_size, lr",
     [(CRPNN1, None, 10.0), (CRPNN2, None, 10.0), (CRPNN1, 8, 20.0), (CRPNN2, 8, 5.0)],
 )
-def test_train_diverges_like_the_loop_of_public_calls(tmp_path, variant, batch_size, lr):
+def test_train_diverges_like_the_loop_of_public_calls(variant, batch_size, lr):
     spec = NetworkSpec.create(variant, 2, 1, 6)
     model = init_weights(spec, seed=0, scale=0.9)
     config = TrainConfig(learning_rate=lr, epochs=50, batch_size=batch_size, seed=1)
-    err = assert_train_matches_reference(model, dataset_for(spec, 37, 4), config, tmp_path / "m.csv")
+    err = assert_train_matches_reference(model, dataset_for(spec, 37, 4), config)
     assert isinstance(err, TrainingDivergedError)
 
 
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
-def test_overflow_mid_epoch_leaves_the_weights_of_the_loop_of_public_calls(tmp_path, variant):
+def test_overflow_mid_epoch_leaves_the_weights_of_the_loop_of_public_calls(variant):
     # one sample overflows the forward pass; the batches before it have stepped
     spec = NetworkSpec.create(variant, 2, 1, 6)
     ds = dataset_for(spec, 37, 5)
@@ -445,7 +428,7 @@ def test_overflow_mid_epoch_leaves_the_weights_of_the_loop_of_public_calls(tmp_p
     model = init_weights(spec, seed=0)
     before = [w.copy() for w in model.weights]
     config = TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=2)
-    err = assert_train_matches_reference(model, ds, config, tmp_path / "m.csv")
+    err = assert_train_matches_reference(model, ds, config)
     assert isinstance(err, FloatingPointError)
     assert not all(np.array_equal(w, b) for w, b in zip(model.weights, before))
 
@@ -477,33 +460,28 @@ def train_cases(draw):
 def test_train_is_bit_identical_to_the_loop_of_public_calls_on_any_sizing(case):
     # guards the one-take gather of X~, X~^c and the targets for every batch width
     model, dataset, config = case
-    with tempfile.TemporaryDirectory() as tmp:
-        assert_train_matches_reference(model, dataset, config, pathlib.Path(tmp) / "m.csv")
+    assert_train_matches_reference(model, dataset, config)
 
 
 @pytest.mark.parametrize("cut", ["count", "shape"])
-def test_bad_weights_raise_before_the_metrics_file_is_opened(tmp_path, cut):
+def test_bad_weights_raise_before_training(cut):
     spec = NetworkSpec.crpnn1(2, 1, 3)
     weights = init_weights(spec, seed=0).weights
     weights = weights[1:] if cut == "count" else [weights[0][:, :-1], *weights[1:]]
-    path = tmp_path / "metrics.csv"
     with pytest.raises(ShapeError):
-        train(CrpnnModel(spec, weights), quadratic_dataset(), TrainConfig(epochs=2), str(path))
-    assert not path.exists()
+        train(CrpnnModel(spec, weights), quadratic_dataset(), TrainConfig(epochs=2))
 
 
 @pytest.mark.parametrize("kind", ["int64", "read-only"])
-def test_weights_that_cannot_take_the_result_raise_before_training(tmp_path, kind):
+def test_weights_that_cannot_take_the_result_raise_before_training(kind):
     spec = NetworkSpec.crpnn1(2, 1, 3)
     weights = init_weights(spec, seed=0).weights
     if kind == "int64":
         weights[1] = np.round(4 * weights[1]).astype(np.int64)
     else:
         weights[1].flags.writeable = False
-    path = tmp_path / "metrics.csv"
     with pytest.raises(TypeError, match="writeable float array"):
-        train(CrpnnModel(spec, weights), quadratic_dataset(), TrainConfig(epochs=2), str(path))
-    assert not path.exists()
+        train(CrpnnModel(spec, weights), quadratic_dataset(), TrainConfig(epochs=2))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
