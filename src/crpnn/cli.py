@@ -147,6 +147,16 @@ def parse_cli(argv):
     return build_parser().parse_args(argv)
 
 
+_OUTPUT_OPTIONS = ("out", "data_out", "model_out", "metrics_out")
+
+
+def _check_output_paths(args):
+    """Refuse an output option given as the empty string, before any work."""
+    for name in _OUTPUT_OPTIONS:
+        if getattr(args, name, None) == "":
+            raise ValueError(f"--{name.replace('_', '-')} must name a file, got an empty path")
+
+
 def _write_or_print(payload, path):
     """Write bytes to path whole or not at all, or print them when path is None.
 
@@ -185,7 +195,7 @@ def cmd_gen(args):
         args.n, args.degree, args.items, args.coeff_low, args.coeff_high, seed
     )
     outputs = [(export_spectrum(target.spectrum), args.out)]
-    if args.data_out:
+    if args.data_out is not None:
         rng = np.random.default_rng(seed)
         inputs = default_inputs(args.n, args.samples, rng, args.t_start, args.t_end)
         outputs.append((write_dataset_csv(make_dataset(target, inputs)), args.data_out))
@@ -209,7 +219,7 @@ def cmd_train(args):
     )
     model, record = train(model, dataset, config)
     _write_or_print(save_model(model), args.model_out)
-    if args.metrics_out:
+    if args.metrics_out is not None:
         rows = enumerate(record.mse_per_epoch)
         _write_or_print(write_csv(["epoch", "mse"], rows), args.metrics_out)
     print(f"final_mse={record.final_mse!r}")
@@ -310,6 +320,7 @@ _COMMANDS = {
 def execute(args):
     """Run a parsed command; returns the process exit code."""
     try:
+        _check_output_paths(args)
         return _COMMANDS[args.command](args)
     except _RUNTIME_ERRORS as exc:
         print(f"crpnn {args.command}: error: {exc}", file=sys.stderr)

@@ -23,11 +23,26 @@ class FormatError(ValueError):
 
 
 def write_csv(header, rows):
-    """CSV bytes of a header and rows of str, int or Python float cells."""
+    """CSV bytes of a header and rows of str, int or Python float cells.
+
+    Every row must be as wide as the header; each is formatted with one
+    ``%`` of a ``%s`` template, and ``%s`` is ``str()``.
+    """
+    line = ",".join(["%s"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
+    lines.extend(line % tuple(row) for row in rows)
     lines.append("")
     return "\n".join(lines).encode("utf-8")
+
+
+def decode(data, error):
+    """The text of CSV bytes (text passes through); bad UTF-8 raises ``error``."""
+    if not isinstance(data, (bytes, bytearray)):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"not valid UTF-8: {exc}") from exc
 
 
 def read_csv(data, error):
@@ -38,11 +53,7 @@ def read_csv(data, error):
     :class:`FormatError` subclass; rows are checked only as they are read,
     so a caller's header check still comes first.
     """
-    try:
-        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
-    except UnicodeDecodeError as exc:
-        raise error(f"not valid UTF-8: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(decode(data, error)))
     try:
         header = next(reader)
     except StopIteration:

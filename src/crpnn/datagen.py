@@ -10,12 +10,14 @@ five-sine trajectory
 sampled on a uniform grid over [t_start, t_end] (radians throughout).
 """
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import FormatError, read_csv, write_csv
+from .csvio import FormatError, decode, read_csv, write_csv
 from .linalg import ShapeError, as_array, check_finite
 from .spectrum import RelationSpectrum, _graded_exponents, evaluate_spectrum_cols
 
@@ -170,8 +172,15 @@ def write_dataset_csv(dataset):
 
 
 def read_dataset_csv(data):
-    """Parse CSV bytes produced by :func:`write_dataset_csv`."""
-    header, rows = read_csv(data, DatasetFormatError)
+    """Parse CSV bytes produced by :func:`write_dataset_csv`.
+
+    A well-formed numeric body is parsed in one ``np.loadtxt`` pass.  Any
+    body that pass does not take whole (a bad or non-finite cell, quotes, a
+    wrong width, no rows, a numpy warning) is parsed again cell by cell,
+    which accepts what ``float()`` accepts and names the first bad line.
+    """
+    text = decode(data, DatasetFormatError)
+    header, rows = read_csv(text, DatasetFormatError)
     n = 0
     while n < len(header) and header[n] == f"x{n + 1}":
         n += 1
@@ -182,20 +191,39 @@ def read_dataset_csv(data):
         raise DatasetFormatError(
             f"header must read x1..xn,y1..ym, got {','.join(header)}", line=1
         )
+    block = _numeric_block(text, n + m)
+    if block is None:
+        block = _parse_rows(rows)
+    return Dataset(inputs=block[:, :n].T, targets=block[:, n:].T)
 
-    x_rows, y_rows = [], []
+
+def _numeric_block(text, width):
+    """The body below the header as a (K, width) finite float64 block, or
+    None when the row parser must decide."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = np.loadtxt(
+                io.StringIO(text), delimiter=",", comments=None, skiprows=1, ndmin=2
+            )
+    except (ValueError, Warning):
+        return None
+    if block.shape[0] == 0 or block.shape[1] != width or not np.isfinite(block).all():
+        return None
+    return block
+
+
+def _parse_rows(rows):
+    """The (K, width) block of the rows of :func:`read_csv`, cell by cell."""
+    values = []
     for lineno, row in rows:
         try:
-            values = [float(cell) for cell in row]
+            cells = [float(cell) for cell in row]
         except ValueError as exc:
             raise DatasetFormatError(f"non-numeric cell: {exc}", line=lineno) from exc
-        if not all(math.isfinite(v) for v in values):
+        if not all(math.isfinite(v) for v in cells):
             raise DatasetFormatError("non-finite value", line=lineno)
-        x_rows.append(values[:n])
-        y_rows.append(values[n:])
-    if not x_rows:
+        values.append(cells)
+    if not values:
         raise DatasetFormatError("dataset has a header but no samples", line=2)
-    return Dataset(
-        inputs=np.asarray(x_rows).T,
-        targets=np.asarray(y_rows).T,
-    )
+    return np.asarray(values)

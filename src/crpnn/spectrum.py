@@ -71,7 +71,8 @@ def _graded_exponents(n, degree):
     """Exponent rows of every monomial in n variables of total degree <= degree.
 
     Rows are sorted by total degree, then lexicographically: the order of the
-    CSV export, in which the monomials of degree <= d form a prefix.
+    CSV export, in which the monomials of degree <= d form a prefix.  The
+    build emits them lexicographically, so a stable sort by degree suffices.
     """
     rows = np.zeros((1, 0), dtype=np.int64)
     for _ in range(n):
@@ -79,7 +80,7 @@ def _graded_exponents(n, degree):
         starts = np.repeat(np.cumsum(counts) - counts, counts)
         rows = np.repeat(rows, counts, axis=0)
         rows = np.column_stack([rows, np.arange(len(rows)) - starts])
-    return rows[np.lexsort((*rows.T[::-1], rows.sum(axis=1)))]
+    return rows[np.argsort(rows.sum(axis=1), kind="stable")]
 
 
 def _shift_map(basis, amount):
@@ -230,7 +231,7 @@ def export_spectrum(spectrum):
     """
     header = [f"e_{i + 1}" for i in range(spectrum.n)] + [CSV_OUTPUT_COL, CSV_COEFF_COL]
     rows = (
-        [*exps, out_idx, float(terms[exps])]
+        (*exps, out_idx, float(terms[exps]))
         for out_idx, terms in enumerate(spectrum.terms)
         for exps in sorted(terms, key=lambda e: (sum(e), e))
     )

@@ -322,6 +322,38 @@ def test_train_on_malformed_dataset_exits_1_with_line(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "--n", "2", "--degree", "3", "--items", "4", "--out", ""], "--out"),
+        (["gen", "--n", "2", "--degree", "3", "--items", "4", "--out", "t.csv",
+          "--data-out", ""], "--data-out"),
+        (["train", "--variant", "crpnn1", "--order", "2", "--data", "missing.csv",
+          "--model-out", ""], "--model-out"),
+        (["train", "--variant", "crpnn1", "--order", "2", "--data", "missing.csv",
+          "--model-out", "m.json", "--metrics-out", ""], "--metrics-out"),
+        (["eval", "--model", "missing.json", "--data", "missing.csv", "--out", ""], "--out"),
+        (["spectrum", "--model", "missing.json", "--out", ""], "--out"),
+        (["bench", "--n", "2", "--order", "4", "--samples", "20", "--forward-reps", "1",
+          "--epochs", "1", "--runs", "1", "--out", ""], "--out"),
+        (["compare", "--orders", "2", "--data", "missing.csv", "--out", ""], "--out"),
+    ],
+    ids=["gen-out", "gen-data-out", "train-model-out", "train-metrics-out", "eval-out",
+         "spectrum-out", "bench-out", "compare-out"],
+)
+def test_empty_output_path_exits_1_before_any_work(tmp_path, monkeypatch, capsys, argv, flag):
+    # the inputs do not exist, so only a check made before any work can win
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"crpnn {argv[0]}: error: {flag} must name a file, got an empty path\n"
+    assert list(tmp_path.iterdir()) == [work]
+    assert list(work.iterdir()) == []
+
+
 def _fail_replace(src, dst):
     raise OSError("disk full")
 

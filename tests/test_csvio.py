@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crpnn.csvio import FormatError, read_csv, write_csv
-from crpnn.datagen import DatasetFormatError, read_dataset_csv
+from crpnn.datagen import DatasetFormatError, _numeric_block, _parse_rows, read_dataset_csv
 from crpnn.spectrum import SpectrumFormatError, import_spectrum
 
 
@@ -68,3 +69,78 @@ def test_quoted_and_underscored_numbers_still_parse():
     np.testing.assert_array_equal(ds.targets, [[10.0]])
     s = import_spectrum(b'e_1,output,coefficient\n"2",0,"0.5"\n')
     assert s.terms == ({(2,): 0.5},)
+
+
+# The one-pass numpy parse of a dataset body must agree bit for bit with the
+# cell-by-cell row parser wherever it accepts a file, and decline every file
+# the row parser rejects, so that the row parser's error is the one raised.
+
+
+def row_parser_block(text):
+    _, rows = read_csv(text, DatasetFormatError)
+    return _parse_rows(rows)
+
+
+FINITE_EDGES = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-5, 0.1, 1e16])
+FINITE_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), FINITE_EDGES)
+FORMATS = st.sampled_from([repr, "{:.17g}".format, "{:.6e}".format, "{:+.3f}".format])
+
+
+@st.composite
+def well_formed_datasets(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(FINITE_CELLS, min_size=n + m, max_size=n + m),
+                         min_size=1, max_size=12))
+    fmt = draw(FORMATS)
+    lines = [",".join([f"x{i + 1}" for i in range(n)] + [f"y{j + 1}" for j in range(m)])]
+    for row in rows:
+        lines.extend([""] * draw(st.integers(0, 2)))  # blank lines
+        lines.append(",".join(fmt(v) for v in row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text, n + m
+
+
+@given(well_formed_datasets())
+def test_numpy_pass_matches_the_row_parser_bit_for_bit(case):
+    text, width = case
+    fast = _numeric_block(text, width)
+    slow = row_parser_block(text)
+    assert fast is not None
+    assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
+    ds = read_dataset_csv(text.encode("utf-8"))
+    both = np.concatenate((ds.inputs, ds.targets)).T
+    assert both.tobytes() == slow.tobytes()
+
+
+MALFORMED = [
+    (b"x1,y1\n1,2\n3#c,4\n", 3, "non-numeric cell: could not convert string to float: '3#c'"),
+    (b"x1,y1\n1,2\n#1,4\n", 3, "non-numeric cell: could not convert string to float: '#1'"),
+    (b"x1,y1\nnan,1\n", 2, "non-finite value"),
+    (b"x1,y1\n1,2\n1,inf\n", 3, "non-finite value"),
+    (b"x1,y1\n-Infinity,1\n", 2, "non-finite value"),
+    (b"x1,y1\n1e400,1\n", 2, "non-finite value"),
+    (b"x1,x2,y1\n1,2,3\n1,2\n", 3, "expected 3 cells, got 2"),
+    (b"x1,y1\n1,2,3\n4,5,6\n", 2, "expected 2 cells, got 3"),
+    (b"x1,y1\n", 2, "dataset has a header but no samples"),
+    (b"x1,y1\r\n\r\n\n", 2, "dataset has a header but no samples"),
+    (b"x1,y1\n1, \n", 2, "non-numeric cell: could not convert string to float: ' '"),
+    (b"x1,y1\n1,2\n \n", 3, "expected 2 cells, got 1"),
+    (b"x1,y1\n1,\n", 2, "non-numeric cell: could not convert string to float: ''"),
+]
+
+
+@pytest.mark.parametrize("data, line, message", MALFORMED)
+def test_malformed_bodies_raise_the_row_parsers_error(data, line, message):
+    text = data.decode("utf-8")
+    width = len(text.splitlines()[0].split(","))
+    assert _numeric_block(text, width) is None
+    with pytest.raises(DatasetFormatError) as slow:
+        row_parser_block(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset_csv(data)
+    assert caught == []
+    assert (str(info.value), info.value.line) == (str(slow.value), slow.value.line)
+    assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)

@@ -119,6 +119,16 @@ def test_graded_exponents_order_and_count(n, degree):
     assert rows == expected
 
 
+@pytest.mark.parametrize("n, degree", [(5, 14), (5, 20)])
+def test_graded_exponents_match_a_full_lexsort(n, degree):
+    basis = _graded_exponents(n, degree)
+    assert len(np.unique(basis, axis=0)) == len(basis) == math.comb(n + degree, n)
+    assert basis.min() >= 0 and basis.sum(axis=1).max() == degree
+    shuffled = basis[np.random.default_rng(0).permutation(len(basis))]
+    expected = shuffled[np.lexsort((*shuffled.T[::-1], shuffled.sum(axis=1)))]
+    np.testing.assert_array_equal(basis, expected)
+
+
 @pytest.mark.parametrize("n, degree, amount", [(1, 6, 1), (1, 6, 4), (2, 5, 1), (3, 6, 2), (4, 5, 3)])
 def test_shift_map_sends_each_row_to_its_shifted_monomial(n, degree, amount):
     basis = _graded_exponents(n, degree)
