@@ -23,7 +23,7 @@ from . import kernels
 from .datagen import default_inputs
 from .linalg import MultiplyCounter
 from .network import CRPNN1, CRPNN2, NetworkSpec, init_weights, predict_batch
-from .topology import mult_count_crpnn1, mult_count_crpnn2
+from .topology import _mult_count
 from .training import _check_rate, backward, sgd_step
 
 COUNT_NOTE = "multiply counts cover multiplications only; additions are not counted"
@@ -97,10 +97,7 @@ def run_bench(protocol):
     report = BenchReport(protocol=protocol, kernel_backend=kernels.backend_name())
     for variant in protocol.variants:
         spec = NetworkSpec.create(variant, protocol.n, protocol.m, protocol.order)
-        if variant == CRPNN1:
-            per_sample = mult_count_crpnn1(protocol.n, protocol.m, protocol.order)
-        else:
-            per_sample = mult_count_crpnn2(protocol.n, protocol.m, protocol.order)
+        per_sample = _mult_count(spec.n, spec.m, spec.order, spec.power)
         per_forward = per_sample * protocol.samples
 
         forward_times = []

@@ -298,10 +298,11 @@ def cmd_compare(args):
                     seed=seed,
                 )
                 start = time.perf_counter()
-                _, record = train(model, dataset, config)
-                rows.append(
-                    [variant, order, seed, record.final_mse, time.perf_counter() - start]
-                )
+                try:
+                    final_mse = train(model, dataset, config)[1].final_mse
+                except TrainingDivergedError:
+                    final_mse = float("inf")  # a diverged seed stays in the table
+                rows.append([variant, order, seed, final_mse, time.perf_counter() - start])
     header = ["variant", "order", "seed", "final_mse", "seconds"]
     _write_or_print(write_csv(header, rows), args.out)
     return 0

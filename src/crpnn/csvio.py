@@ -53,16 +53,23 @@ def read_csv(data, error):
     :class:`FormatError` subclass; rows are checked only as they are read,
     so a caller's header check still comes first.
     """
-    reader = csv.reader(io.StringIO(decode(data, error)))
+    records = _records(csv.reader(io.StringIO(decode(data, error))), error)
+    header = next(records, None)
+    if header is None:
+        raise error("missing header", line=1)
+    return header, _rows(records, len(header), error)
+
+
+def _records(reader, error):
+    """The reader's records; a :class:`csv.Error` raises ``error`` at its line."""
     try:
-        header = next(reader)
-    except StopIteration:
-        raise error("missing header", line=1) from None
-    return header, _rows(reader, len(header), error)
+        yield from reader
+    except csv.Error as exc:
+        raise error(f"malformed CSV: {exc}", line=reader.line_num) from exc
 
 
-def _rows(reader, width, error):
-    for lineno, cells in enumerate(reader, start=2):
+def _rows(records, width, error):
+    for lineno, cells in enumerate(records, start=2):
         if not cells:
             continue
         if len(cells) != width:

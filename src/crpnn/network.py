@@ -5,14 +5,14 @@ most ``order`` in the inputs.  Layer-facing vectors are bias-augmented to
 dimension n+1 with the constant in the last position, which is what lets the
 multiplicative layers keep every lower-degree term alive.
 
-CR-PNN I:  A^0 = X~;  A^i = (W^i A^{i-1}) o X~  for i = 1..L-1;  Y = W_out A^{L-1}
-CR-PNN II: A^1 = (W^1 X~) o X~^c;  A^i = (W^i A^{i-1}) o X~  for i = 2..l+1;
-           Y = W_out A^{l+1}
+Both run one layer plan of h = L - c hidden layers, c = ``spec.power``:
+A^1 = (W^1 X~) o X~^c;  A^i = (W^i A^{i-1}) o X~  for i = 2..h;  Y = W_out A^h
+CR-PNN I is the plan at c = 1; CR-PNN II's ``TopologyPlan`` sets c, and h = l+1.
 
-Every pass lays out its operands one way: ``_fill_inputs`` writes X~ (and
-X~^c for CR-PNN II) into buffers its caller owns, and ``_layers`` runs the
-weighted layers on the caller's slots.  ``predict_batch``, ``training.backward``
-and ``training.train`` differ only in where those buffers come from.
+Every pass lays out its operands one way: ``_fill_inputs`` writes X~ and
+X~^c into buffers its caller owns, and ``_layers`` runs the weighted layers
+on the caller's slots.  ``predict_batch``, ``training.backward`` and
+``training.train`` differ only in where those buffers come from.
 
 Models are immutable after construction as far as this module is concerned;
 only ``training.train`` changes weights: it steps on a packed float64 copy
@@ -47,6 +47,11 @@ class NetworkSpec:
     order: int
     plan: TopologyPlan | None = None
 
+    @property
+    def power(self):
+        """c, the power of X~ that gates the first hidden layer: 1 for CR-PNN I."""
+        return self.plan.power if self.plan is not None else 1
+
     @classmethod
     def crpnn1(cls, n, m, order):
         if n < 1 or m < 1 or order < 1:
@@ -68,11 +73,7 @@ class NetworkSpec:
     def weight_shapes(self):
         """Expected weight-matrix shapes, input side first, output matrix last."""
         width = self.n + 1
-        if self.variant == CRPNN1:
-            hidden = self.order - 1
-        else:
-            hidden = self.plan.taylor_layers + 1  # expanded layer + l Taylor layers
-        return [(width, width)] * hidden + [(self.m, width)]
+        return [(width, width)] * (self.order - self.power) + [(self.m, width)]
 
 
 @dataclass
@@ -131,7 +132,7 @@ def _forward_cols(model, xcols, counter=None):
     """Batched forward pass; samples are columns of ``xcols`` (n x K).
 
     X~ and the layers' two ping-pong slots share one block allocated per
-    call; CR-PNN II keeps X~^c in slot 1 until layer 1 overwrites it.
+    call; X~^c for c > 1 sits in slot 1 until layer 1 overwrites it.
     """
     spec = model.spec
     if xcols.shape[0] != spec.n:
@@ -143,14 +144,14 @@ def _forward_cols(model, xcols, counter=None):
 
 
 def _fill_inputs(spec, xcols, xa, xc, counter=None):
-    """Write X~ (the columns of ``xcols`` over a row of ones) into ``xa`` and,
-    for CR-PNN II, X~^c into ``xc``; returns X~^c, or None for CR-PNN I,
-    which leaves ``xc`` untouched."""
+    """Write X~ (the columns of ``xcols`` over a row of ones) into ``xa`` and
+    return X~^c, c = ``spec.power``: written into ``xc`` for c > 1, while
+    X~^1 is ``xa`` itself and leaves ``xc`` untouched."""
     xa[:-1] = xcols
     xa[-1] = 1.0
-    if spec.variant != CRPNN2:
-        return None
-    return power(xa, spec.plan.power, out=xc, counter=counter)
+    if spec.power == 1:
+        return xa
+    return power(xa, spec.power, out=xc, counter=counter)
 
 
 def _layers(weights, xa, xc, slots, y, counter=None):
@@ -164,7 +165,7 @@ def _layers(weights, xa, xc, slots, y, counter=None):
     """
     a = xa
     for i, w in enumerate(weights[:-1]):
-        gate = xc if i == 0 and xc is not None else xa
+        gate = xc if i == 0 else xa
         out = slots[i % len(slots)]
         matmul(w, a, out=out, counter=counter)
         a = hadamard(out, gate, out=out, counter=counter)

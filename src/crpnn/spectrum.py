@@ -12,7 +12,7 @@ Coordinate j's polynomial (bias coordinate last) is row j of a dense
 order: total degree, then lexicographic, as in the CSV export.  A linear map
 combines rows, adding input rows in order and skipping zero weights, so the
 sums are those of a term-by-term expansion bit for bit; Hadamard with the
-augmented input (x_j^c for the expanded layer) scatters row j's columns.
+augmented input (x_j^c for the first hidden layer) scatters row j's columns.
 Monomials of degree <= d form a prefix, so a layer of degree d touches only
 C(n+d, n) columns.  Two blocks serve all layers, 16(n+1)M bytes; the guard
 refuses (n+1)M > MAX_DENSE_ENTRIES.
@@ -30,7 +30,7 @@ import numpy as np
 
 from .csvio import FormatError, read_csv, write_csv
 from .linalg import ShapeError, as_array
-from .network import CRPNN2, _checked_weights
+from .network import _checked_weights
 
 MAX_DENSE_ENTRIES = 6 * 10 ** 6
 CANONICAL_REL_EPS = 1e-14
@@ -121,9 +121,8 @@ def expand_to_spectrum(model):
             f"expansion guard of {MAX_DENSE_ENTRIES} entries"
         )
     basis = _graded_exponents(n, spec.order)
-    amounts = [1] * (len(weights) - 1)
-    if spec.variant == CRPNN2:
-        amounts[0] = spec.plan.power
+    hidden = weights[:-1]
+    amounts = [spec.power] + [1] * (len(hidden) - 1)
     shifts = {a: _shift_map(basis, a) for a in set(amounts)}
     coeffs = np.zeros((n + 1, size))  # layer inputs, bias coordinate last
     mixed = np.empty((n + 1, size))   # linear-map outputs
@@ -131,7 +130,7 @@ def expand_to_spectrum(model):
     coeffs[n, 0] = 1.0
     live, degree = n + 1, 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for w, amount in zip(weights, amounts):
+        for w, amount in zip(hidden, amounts):
             for i in range(n + 1):
                 _accumulate(w[i], coeffs[:, :live], mixed[i, :live])
             degree += amount
@@ -150,25 +149,17 @@ def expand_to_spectrum(model):
 def _power_tables(x, max_exps):
     """Per-variable power ladders built by repeated multiplication."""
     tables = []
-    for i, top in enumerate(max_exps):
-        ladder = [None] * (top + 1)
-        ladder[0] = np.ones_like(x[i])
-        if top >= 1:
-            ladder[1] = x[i]
-            for d in range(2, top + 1):
-                ladder[d] = ladder[d - 1] * x[i]
+    for xi, top in zip(x, max_exps):
+        ladder = [np.ones_like(xi), xi]
+        while len(ladder) <= top:
+            ladder.append(ladder[-1] * xi)
         tables.append(ladder)
     return tables
 
 
 def _max_exponents(spectrum):
-    tops = [0] * spectrum.n
-    for terms in spectrum.terms:
-        for exps in terms:
-            for i, e in enumerate(exps):
-                if e > tops[i]:
-                    tops[i] = e
-    return tops
+    exps = [e for terms in spectrum.terms for e in terms]
+    return np.array(exps, dtype=np.int64).reshape(-1, spectrum.n).max(axis=0, initial=0)
 
 
 def evaluate_spectrum(spectrum, x):

@@ -1,10 +1,10 @@
 """Layer planning and analytic per-sample multiply counts for both variants.
 
-CR-PNN I reaches order L with L-1 stacked Taylor layers plus an output layer.
-CR-PNN II covers the same order with l Taylor layers, one expanded layer of
-power c and an output layer, where l starts at the input dimension n and
-grows only until the maximum reachable order 2l+3 covers the request; the
-expanded-layer power takes up the rest, c = L - l - 1, so L = l + c + 1.
+Both variants reach order L with one layer plan: A^1 = (W^1 X~) o X~^c, then
+Taylor layers A^i = (W^i A^{i-1}) o X~, h = L - c hidden layers in all, and an
+output layer.  CR-PNN I is the plan at c = 1.  CR-PNN II has l Taylor layers
+after A^1: l starts at the input dimension n and grows only until the maximum
+reachable order 2l+3 covers the request, and c = L - l - 1 takes up the rest.
 
 The multiply counts are exact per-sample forward-pass counts (additions are
 not counted), and equal what the instrumented kernels report on real passes.
@@ -57,21 +57,22 @@ def plan_topology(n, m, order):
     )
 
 
+def _mult_count(n, m, order, power):
+    """Exact per-sample forward multiply count of the plan with power c:
+    (n+1)^2 + (n+1) for each of the L - c hidden layers, (c-1)(n+1) for X~^c
+    and m(n+1) for the output layer."""
+    width = n + 1
+    return (order - power) * (width ** 2 + width) + (power - 1) * width + m * width
+
+
 def mult_count_crpnn1(n, m, order):
     """Exact per-sample forward multiply count of CR-PNN I."""
     if n < 1 or m < 1 or order < 1:
         raise ValueError(f"invalid configuration n={n}, m={m}, order={order}")
-    return (order - 1) * ((n + 1) ** 2 + (n + 1)) + m * (n + 1)
+    return _mult_count(n, m, order, 1)
 
 
 def mult_count_crpnn2(n, m, order):
     """Exact per-sample forward multiply count of CR-PNN II."""
-    plan = plan_topology(n, m, order)
-    width = n + 1
-    return (
-        width ** 2
-        + plan.power * width
-        + plan.taylor_layers * (width ** 2 + width)
-        + m * width
-    )
+    return _mult_count(n, m, order, plan_topology(n, m, order).power)
 

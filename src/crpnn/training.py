@@ -12,10 +12,10 @@ that wants the per-epoch MSEs on disk writes them from the returned record.
 
 Backward chain, innermost layer last (X~ is the bias-augmented input):
 
-* output layer:   dZ = dA
-* Taylor layer:   dZ = dA o X~
-* expanded layer: dZ = dA o X~^c
-* per layer:      dW = (1/B) dZ A_prev^T,   dA_prev = W^T dZ
+* output layer:       dZ = dA
+* Taylor layer:       dZ = dA o X~
+* first hidden layer: dZ = dA o X~^c  (c = ``spec.power``, 1 for CR-PNN I)
+* per layer:          dW = (1/B) dZ A_prev^T,   dA_prev = W^T dZ
 """
 
 import math
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import ShapeError, as_array
-from .network import CRPNN2, _checked_weights, _fill_inputs, _layers, predict_batch
+from .network import _checked_weights, _fill_inputs, _layers, predict_batch
 
 DIVERGENCE_CEILING = 1e12
 GRAD_CHECK_MAX_PARAMS = 2000
@@ -115,8 +115,8 @@ def backward(model, inputs, targets):
     weights = _checked_weights(spec, model.weights)
     block = np.empty((len(weights) - 1, spec.n + 1, spec.n + 1))
     grads = [*block, np.empty((spec.m, spec.n + 1))]
-    # X~, one cache slot per hidden layer and, for CR-PNN II, X~^c last
-    operands = np.empty((len(weights) + (spec.variant == CRPNN2), spec.n + 1, inputs.shape[1]))
+    # X~, one cache slot per hidden layer and, for c > 1, X~^c last
+    operands = np.empty((len(weights) + (spec.power > 1), spec.n + 1, inputs.shape[1]))
     acts = [*operands[: len(weights)]]
     with np.errstate(over="ignore", invalid="ignore"):
         xc = _fill_inputs(spec, inputs, acts[0], operands[-1])
@@ -144,7 +144,7 @@ def _errors(weights, xa, xc, acts, y, targets, block, grads):
     for i in range(len(grads) - 2, -1, -1):
         # d_pre sits in acts[i + 2] (or y); acts[i + 1] is no longer needed
         d_pre = kernels.matmul_tn(weights[i + 1], d_pre, out=acts[i + 1])
-        gate = xc if i == 0 and xc is not None else xa
+        gate = xc if i == 0 else xa
         kernels.hadamard(d_pre, gate, out=d_pre)
         kernels.matmul_nt(d_pre, acts[i], out=grads[i])
     inv_batch = 1.0 / y.shape[1]
@@ -218,8 +218,8 @@ def train(model, dataset, config):
             w[...] = src
         grad_block = _aligned_empty(block.shape)
         grads = [*grad_block, np.empty_like(weights[-1])]
-        # X~, X~^c (CR-PNN II) and the targets share one block: one take per step
-        rows = width * (1 + (spec.variant == CRPNN2))
+        # X~, X~^c (c > 1) and the targets share one block: one take per step
+        rows = width * (1 + (spec.power > 1))
         full = _aligned_empty((rows + spec.m, total))
         xa = full[:width]
         xc = _fill_inputs(spec, inputs, xa, full[width:rows])
@@ -228,7 +228,7 @@ def train(model, dataset, config):
         work = {}  # per batch width: its columns of full, split as full is, its cache and output
         for cols in {batch, total % batch} - {0}:
             data = full if cols == total else _aligned_empty((len(full), cols))
-            split = data[:width], (None if xc is None else data[width:rows]), data[rows:]
+            split = data[:width], data[rows - width:rows], data[rows:]
             cache = [*_aligned_empty((len(block), width, cols))]
             work[cols] = data, split, cache, _aligned_empty((spec.m, cols))
         if batch < total:

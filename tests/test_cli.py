@@ -11,7 +11,7 @@ from crpnn.linalg import ShapeError
 from crpnn.network import CrpnnModel, ModelFormatError, NetworkSpec, init_weights, save_model
 from crpnn.spectrum import SpectrumFormatError, SpectrumSizeError, import_spectrum
 from crpnn.topology import TopologyError
-from crpnn.training import TrainConfig, train
+from crpnn.training import TrainConfig, TrainingDivergedError, train
 
 
 def test_parse_gen():
@@ -243,6 +243,44 @@ def test_compare_rows_deterministic_apart_from_seconds(tmp_path):
         rows = [line.rsplit(",", 1)[0] for line in out.read_text().strip().split("\n")]
         tables.append(rows)
     assert tables[0] == tables[1]
+
+
+def test_compare_records_a_diverged_seed_as_inf_and_carries_on(tmp_path):
+    data = tmp_path / "d.csv"
+    main(["gen", "--n", "1", "--degree", "3", "--items", "3", "--seed", "1",
+          "--out", str(tmp_path / "t.csv"), "--data-out", str(data), "--samples", "30"])
+    out = tmp_path / "table.csv"
+    rc = main(["compare", "--orders", "3", "4", "--seeds", "2", "--lr", "5",
+               "--data", str(data), "--epochs", "20", "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [row[:3] for row in rows] == [
+        [v, str(order), str(seed)] for v in ("crpnn1", "crpnn2") for order in (3, 4) for seed in (0, 1)
+    ]
+    dataset = read_dataset_csv(data.read_bytes())
+    for variant, order, seed, final_mse, _ in rows:
+        model = init_weights(NetworkSpec.create(variant, 1, 1, int(order)), seed=int(seed))
+        try:
+            expected = train(model, dataset, TrainConfig(learning_rate=5, epochs=20, seed=int(seed)))[1].final_mse
+        except TrainingDivergedError:
+            expected = float("inf")
+        assert final_mse == repr(expected)
+    finals = [row[3] for row in rows]
+    assert "inf" in finals and len(set(finals)) > 1  # some seeds diverge, some do not
+
+
+def test_malformed_csv_line_exits_1_naming_the_line(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"x1,y1\n1,2\r3,4\n")  # a lone carriage return inside a row
+    model = tmp_path / "m.json"
+    model.write_bytes(save_model(init_weights(NetworkSpec.crpnn1(1, 1, 2), seed=0)))
+    for argv in (["train", "--variant", "crpnn1", "--order", "2", "--data", str(data),
+                  "--model-out", str(tmp_path / "o.json")],
+                 ["eval", "--model", str(model), "--data", str(data)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"crpnn {argv[0]}: error: line 2: malformed CSV")
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_overflowing_model_reports_inf_without_a_warning(tmp_path, capsys):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crpnn.csvio import FormatError, read_csv, write_csv
@@ -52,6 +52,44 @@ def test_read_csv_errors_use_the_callers_class():
     _, rows = read_csv(b"a,b\n1\n", FormatError)
     with pytest.raises(FormatError, match="line 2: expected 2 cells, got 1"):
         list(rows)
+
+
+def test_csv_module_errors_raise_the_callers_class_with_the_line():
+    # a lone carriage return in a row, or a cell over the field limit, is an
+    # error of the csv module itself
+    for reader, error, data in [
+        (read_dataset_csv, DatasetFormatError, b"x1,y1\n1,2\r3,4\n"),
+        (read_dataset_csv, DatasetFormatError, b"x1,y1\r1,2\n"),
+        (read_dataset_csv, DatasetFormatError, b"x1,y1\n1,2\n" + b"1" * 140_000 + b",2\n"),
+        (import_spectrum, SpectrumFormatError, b"e_1,output,coefficient\n1,0,2.0\n0,0,1.0\r\"\n"),
+    ]:
+        with pytest.raises(error, match="malformed CSV") as info:
+            reader(data)
+        assert str(info.value).startswith(f"line {info.value.line}: ")
+        assert info.value.line == data.count(b"\n")
+
+
+HEADERS = ["x1,y1", "x1,x2,y1,y2", "e_1,output,coefficient", "e_1,e_2,output,coefficient"]
+BODY_CHARS = "0123456789.,-+eE_xyinfa \t\"'\r\n\x00"
+CSV_TEXTS = st.one_of(
+    st.text(),
+    st.binary(),
+    st.builds("{}\n{}".format, st.sampled_from(HEADERS), st.text(alphabet=BODY_CHARS)),
+)
+
+
+@pytest.mark.parametrize(
+    "reader, error",
+    [(read_dataset_csv, DatasetFormatError), (import_spectrum, SpectrumFormatError)],
+    ids=["dataset", "spectrum"],
+)
+@settings(max_examples=300, deadline=None)
+@given(data=CSV_TEXTS)
+def test_any_text_parses_or_raises_the_readers_format_error(reader, error, data):
+    try:
+        reader(data)
+    except error:
+        pass
 
 
 def test_header_error_comes_before_row_error():

@@ -1,6 +1,7 @@
 """Every name a module of the package or of its tests imports is used there,
 the package names every module-level private function of its own outside
-that function's body, and only the CLI opens files.
+that function's body, only the CLI opens files, and only the network module
+tells the two variants' layer plans apart.
 
 No linter is a dependency of the project, so this stands in for pyflakes'
 unused-import check.  ``__init__.py`` is left out: its imports are the
@@ -105,3 +106,48 @@ def test_only_the_cli_opens_files():
     # the library computes and returns; reading inputs and writing outputs is the CLI's job
     openers = {p.name: open_calls(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in openers.items() if lines and name != "cli.py"} == {}
+
+
+def mentions(source, attrs=(), names=()):
+    """Line numbers where a module reads an attribute in ``attrs`` (as in
+    ``spec.plan``) or names one of ``names``: as a variable, an attribute
+    or an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found = node.attr in attrs or node.attr in names
+        elif isinstance(node, ast.Name):
+            found = node.id in names
+        elif isinstance(node, ast.alias):
+            found = node.name in names or node.asname in names
+        else:
+            continue
+        if found:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_checker_finds_attribute_reads_and_names():
+    source = (
+        "from .network import CRPNN2 as II, plan_topology\n"
+        "plan = spec.plan\n"
+        "if spec.variant == network.CRPNN1 or CRPNN2:\n"
+        "    pass\n"
+    )
+    assert mentions(source, attrs=("plan",)) == [2]
+    assert sorted(mentions(source, attrs=("variant",), names=("CRPNN1", "CRPNN2"))) == [1, 3, 3, 3]
+
+
+def test_only_the_network_tells_the_layer_plans_apart():
+    # CR-PNN I runs as the layer plan at c = 1: the engine, training and the
+    # expansion read spec.power, and only network.py derives it from the plan
+    found = {}
+    for p in sorted(SRC.glob("*.py")):
+        source = p.read_text()
+        if p.name != "network.py":
+            found[p.name, ".plan"] = mentions(source, attrs=("plan",))
+        if p.name in ("training.py", "spectrum.py"):
+            found[p.name, "variant"] = mentions(
+                source, attrs=("variant",), names=("CRPNN1", "CRPNN2")
+            )
+    assert {key: lines for key, lines in found.items() if lines} == {}

@@ -326,6 +326,27 @@ def test_backward_allocates_only_cache_and_gradients(variant):
     assert all(g.base is grads[0].base is not None for g in grads[:-1])
 
 
+def test_backward_at_power_one_keeps_no_power_slot():
+    # CR-PNN II at L = n+2 plans c = 1: X~^1 is X~ itself, so the pass holds
+    # X~ and the (hidden, n+1, K) cache only, as CR-PNN I of that order does
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(-1, 1, size=(5, 5000))
+    ts = rng.uniform(-1, 1, size=(1, 5000))
+    peaks = []
+    for variant in (CRPNN1, CRPNN2):
+        model = init_weights(NetworkSpec.create(variant, 5, 1, 7), seed=0)
+        assert model.spec.power == 1
+        backward(model, xs, ts)
+        tracemalloc.start()
+        try:
+            backward(model, xs, ts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    expected = 8 * (((1 + 6) * 6 + 1) * 5000 + 6 * 36 + 6)
+    assert all(expected <= peak <= expected + 16 * 1024 for peak in peaks)
+
+
 def test_nonfinite_gradient_names_its_matrix():
     # the activations stay finite; only the first layer's error overflows
     model = init_weights(NetworkSpec.crpnn1(1, 1, 3), seed=0)
