@@ -1,16 +1,16 @@
 """Wall-clock timing harness for the two variants, with multiply-count audit.
 
 Per run: a fresh seeded model and a fresh input batch; one untimed forward
-pass (which doubles as the instrumented count audit) and one untimed epoch
-warm the caches and the JIT, then ``forward_reps`` batched forward passes
-and ``epochs`` full-batch training steps are timed separately on a monotonic
-clock.  Statistics are aggregated across runs with the (runs-1)-divisor
-standard deviation.
+pass (which doubles as the instrumented count audit) and one untimed
+one-epoch ``train`` call warm the caches, then ``forward_reps`` batched
+forward passes and one full-batch ``train`` call of ``epochs`` epochs are
+timed separately on a monotonic clock.  Statistics are aggregated across
+runs with the (runs-1)-divisor standard deviation.
 
 Multiply counts cover multiplications only; additions are never counted.
-A timed epoch is one full-batch backward plus weight update (no metric
-evaluation).  Training targets are seeded uniform noise: timing does not
-depend on what the labels mean.
+A timed epoch is the epoch ``crpnn train`` runs: one full-batch step plus
+the full-dataset MSE.  Training targets are seeded uniform noise: timing
+does not depend on what the labels mean.
 """
 
 import json
@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import kernels
-from .datagen import default_inputs
+from .datagen import Dataset, default_inputs
 from .linalg import MultiplyCounter
 from .network import CRPNN1, CRPNN2, NetworkSpec, init_weights, predict_batch
 from .topology import _mult_count
-from .training import _check_rate, backward, sgd_step
+from .training import TrainConfig, _check_rate, train
 
 COUNT_NOTE = "multiply counts cover multiplications only; additions are not counted"
 
@@ -126,16 +126,11 @@ def run_bench(protocol):
                 predict_batch(model, inputs)
             forward_times.append(time.perf_counter() - start)
 
-            trainee = model.copy()
-            warm = model.copy()  # untimed warm-up epoch
-            sgd_step(warm, backward(warm, inputs, targets), protocol.learning_rate)
+            dataset = Dataset(inputs, targets)
+            train(model.copy(), dataset, TrainConfig(protocol.learning_rate, epochs=1))  # warm-up
+            trainee, config = model.copy(), TrainConfig(protocol.learning_rate, epochs=protocol.epochs)
             start = time.perf_counter()
-            for _ in range(protocol.epochs):
-                sgd_step(
-                    trainee,
-                    backward(trainee, inputs, targets),
-                    protocol.learning_rate,
-                )
+            train(trainee, dataset, config)
             epoch_times.append(time.perf_counter() - start)
 
         fwd_mean, fwd_sd = _stats(forward_times)

@@ -284,25 +284,26 @@ def cmd_compare(args):
     orders = _parse_orders(args.orders)
     with open(args.data, "rb") as fh:
         dataset = read_dataset_csv(fh.read())
+    # every cell is planned before the first one trains, so a bad one fails at once
+    specs = [NetworkSpec.create(variant, dataset.n, dataset.m, order)
+             for variant in _variant_list(args.variant) for order in orders]
     rows = []
-    for variant in _variant_list(args.variant):
-        for order in orders:
-            for offset in range(args.seeds):
-                seed = base_seed + offset
-                spec = NetworkSpec.create(variant, dataset.n, dataset.m, order)
-                model = init_weights(spec, seed=seed, scale=args.init_scale)
-                config = TrainConfig(
-                    learning_rate=args.lr,
-                    epochs=args.epochs,
-                    batch_size=args.batch_size,
-                    seed=seed,
-                )
-                start = time.perf_counter()
-                try:
-                    final_mse = train(model, dataset, config)[1].final_mse
-                except TrainingDivergedError:
-                    final_mse = float("inf")  # a diverged seed stays in the table
-                rows.append([variant, order, seed, final_mse, time.perf_counter() - start])
+    for spec in specs:
+        for offset in range(args.seeds):
+            seed = base_seed + offset
+            model = init_weights(spec, seed=seed, scale=args.init_scale)
+            config = TrainConfig(
+                learning_rate=args.lr,
+                epochs=args.epochs,
+                batch_size=args.batch_size,
+                seed=seed,
+            )
+            start = time.perf_counter()
+            try:
+                final_mse = train(model, dataset, config)[1].final_mse
+            except (TrainingDivergedError, FloatingPointError):
+                final_mse = float("inf")  # a diverged seed stays in the table
+            rows.append([spec.variant, spec.order, seed, final_mse, time.perf_counter() - start])
     header = ["variant", "order", "seed", "final_mse", "seconds"]
     _write_or_print(write_csv(header, rows), args.out)
     return 0

@@ -93,13 +93,13 @@ class CrpnnModel:
 def _checked_weights(spec, weights):
     """The weights as C-contiguous float64, shape-checked: once per pass."""
     weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
-    shapes = spec.weight_shapes()
-    if len(weights) != len(shapes):
+    count = spec.order - spec.power + 1  # before weight_shapes: a corrupt order may be huge
+    if len(weights) != count:
         raise ShapeError(
-            f"expected {len(shapes)} weight matrices for {spec.variant} "
+            f"expected {count} weight matrices for {spec.variant} "
             f"(n={spec.n}, order={spec.order}), got {len(weights)}"
         )
-    for idx, (w, shape) in enumerate(zip(weights, shapes)):
+    for idx, (w, shape) in enumerate(zip(weights, spec.weight_shapes())):
         if w.shape != shape:
             raise ShapeError(f"weight matrix {idx} has shape {w.shape}, expected {shape}")
     return weights
@@ -221,7 +221,7 @@ def load_model(data):
     """Parse a model document produced by :func:`save_model`."""
     try:
         doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer over the digit limit
         raise ModelFormatError(f"model document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
@@ -263,7 +263,7 @@ def load_model(data):
             )
         try:
             w = np.asarray(flat, dtype=np.float64).reshape(rows, cols)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"weight matrix {idx} has non-numeric data: {exc}") from exc
         weights.append(np.ascontiguousarray(w))
 

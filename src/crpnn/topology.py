@@ -32,9 +32,9 @@ class TopologyPlan:
 def plan_topology(n, m, order):
     """Size a CR-PNN II network for a target order.
 
-    Grows the Taylor-layer count from l = n while the requested order exceeds
-    the reachable maximum 2l+3, then sets c = order - l - 1.  Orders below
-    n + 2 would force c < 1; those belong to CR-PNN I.
+    Takes the least Taylor-layer count l >= n whose reachable maximum 2l+3
+    covers the order, l = max(n, (order - 2) // 2), and c = order - l - 1.
+    Orders below n + 2 would force c < 1; those belong to CR-PNN I.
     """
     if n < 1 or m < 1:
         raise ValueError(f"dimensions must be positive, got n={n}, m={m}")
@@ -43,9 +43,7 @@ def plan_topology(n, m, order):
             f"CR-PNN II is inapplicable for order {order} with n={n} "
             f"(needs order >= n+2); use CR-PNN I for orders below n+2"
         )
-    taylor = n
-    while order > 2 * taylor + 3:
-        taylor += 1
+    taylor = max(n, (order - 2) // 2)
     power = order - taylor - 1
     return TopologyPlan(
         n=n,

@@ -104,8 +104,9 @@ def backward(model, inputs, targets):
     """Gradients of the internal loss w.r.t. every weight matrix.
 
     Returns one gradient matrix per weight, shape-congruent with the model;
-    the hidden ones are views of one block.  The pass allocates nothing
-    beyond the forward cache and the gradients (see :func:`_errors`).
+    all of them, the output one included, are views of one float64 vector
+    laid out as :func:`_packed` lays out the weights.  The pass allocates
+    nothing beyond the forward cache and the gradients (see :func:`_errors`).
     Overflow raises FloatingPointError, not a warning.
     """
     inputs = as_array(inputs, 2, "batch inputs")
@@ -113,48 +114,55 @@ def backward(model, inputs, targets):
     _check_batch(model, inputs, targets)
     spec = model.spec
     weights = _checked_weights(spec, model.weights)
-    block = np.empty((len(weights) - 1, spec.n + 1, spec.n + 1))
-    grads = [*block, np.empty((spec.m, spec.n + 1))]
+    grad, grads = _packed(spec, len(weights) - 1, np.empty)
     # X~, one cache slot per hidden layer and, for c > 1, X~^c last
     operands = np.empty((len(weights) + (spec.power > 1), spec.n + 1, inputs.shape[1]))
     acts = [*operands[: len(weights)]]
     with np.errstate(over="ignore", invalid="ignore"):
         xc = _fill_inputs(spec, inputs, acts[0], operands[-1])
         y = _layers(weights, acts[0], xc, acts[1:], np.empty(targets.shape))
-        _errors(weights, acts[0], xc, acts, y, targets, block, grads)
+        _errors(weights, acts[0], xc, acts, y, targets, grad, grads)
     return grads
 
 
-def _errors(weights, xa, xc, acts, y, targets, block, grads):
-    """Backward pass into ``grads`` (views of ``block``, then the output
-    gradient), after a forward pass that kept its cache in ``acts`` and ``y``.
+def _packed(spec, hidden, empty):
+    """A float64 vector from ``empty`` laid out as the weights, and its
+    weight-shaped views: ``hidden`` (n+1, n+1) matrices, then the output matrix."""
+    width = spec.n + 1
+    head = hidden * width * width
+    flat = empty((head + spec.m * width,))
+    return flat, [*flat[:head].reshape(hidden, width, width), flat[head:].reshape(spec.m, width)]
+
+
+def _errors(weights, xa, xc, acts, y, targets, grad, grads):
+    """Backward pass into ``grads``, the weight-shaped views of ``grad``,
+    after a forward pass that kept its cache in ``acts`` and ``y``.
 
     The output seed is formed in place in ``y``, and each hidden layer's
     error in the slot of ``acts`` that held that layer's output, which its
-    own gradient has already read.  Raises FloatingPointError if ``y`` or a
-    gradient is non-finite; callers run it under ``np.errstate``.
+    own gradient has already read.  ``grad`` is scaled by 1/B and checked
+    once.  Raises FloatingPointError if ``y`` or a gradient is non-finite;
+    callers run it under ``np.errstate``.
     """
     if not np.isfinite(y).all():
         raise FloatingPointError(
             "forward pass overflowed (non-finite activations); "
-            "scale inputs to [-1, 1] before training"
+            "scale inputs to [-1, 1] or lower the learning rate"
         )
     d_pre = np.subtract(y, targets, out=y)
-    last = kernels.matmul_nt(d_pre, acts[-1], out=grads[-1])
+    kernels.matmul_nt(d_pre, acts[-1], out=grads[-1])
     for i in range(len(grads) - 2, -1, -1):
         # d_pre sits in acts[i + 2] (or y); acts[i + 1] is no longer needed
         d_pre = kernels.matmul_tn(weights[i + 1], d_pre, out=acts[i + 1])
         gate = xc if i == 0 else xa
         kernels.hadamard(d_pre, gate, out=d_pre)
         kernels.matmul_nt(d_pre, acts[i], out=grads[i])
-    inv_batch = 1.0 / y.shape[1]
-    block *= inv_batch
-    last *= inv_batch
-    if not (np.isfinite(block).all() and np.isfinite(last).all()):
+    grad *= 1.0 / y.shape[1]
+    if not np.isfinite(grad).all():
         idx = next(i for i, g in enumerate(grads) if not np.isfinite(g).all())
         raise FloatingPointError(
             f"gradient for weight matrix {idx} is non-finite; "
-            "scale inputs to [-1, 1] before training"
+            "scale inputs to [-1, 1] or lower the learning rate"
         )
 
 
@@ -188,11 +196,12 @@ def train(model, dataset, config):
     seed; full-batch runs never touch the RNG.
 
     Model and dataset are checked once, before the first step.  The weights
-    are packed into float64 blocks, X~, X~^c and the targets written once as
-    rows of one block over the dataset, and each batch width (at most two)
-    gets its buffers once.  A minibatch step gathers its columns with one
-    ``take`` (a full-batch step gathers nothing), runs forward and backward
-    there and updates the blocks in place, rounding as ``w -= lr * g`` does.
+    and the gradients are packed into one float64 vector each (see
+    :func:`_packed`), X~, X~^c and the targets written once as rows of one
+    block over the dataset, and each batch width (at most two) gets its
+    buffers once.  A minibatch step gathers its columns with one ``take`` (a
+    full-batch step gathers nothing), runs forward and backward there and
+    updates the weights with ``g *= lr; w -= g``, rounding as ``w -= lr * g``.
     The weights are written back into the model's own arrays, in their own
     dtype and layout, when the call returns or raises.
     """
@@ -211,13 +220,10 @@ def train(model, dataset, config):
 
     with np.errstate(over="ignore", invalid="ignore"):
         # aligned blocks: at K=5000 a pass took up to 37% longer at other offsets
-        width = spec.n + 1
-        block = _aligned_empty((len(checked) - 1, width, width))
-        weights = [*block, checked[-1].copy()]
-        for w, src in zip(block, checked):
-            w[...] = src
-        grad_block = _aligned_empty(block.shape)
-        grads = [*grad_block, np.empty_like(weights[-1])]
+        width, hidden = spec.n + 1, len(checked) - 1
+        params, weights = _packed(spec, hidden, _aligned_empty)
+        np.concatenate([w.ravel() for w in checked], out=params)
+        grad, grads = _packed(spec, hidden, _aligned_empty)
         # X~, X~^c (c > 1) and the targets share one block: one take per step
         rows = width * (1 + (spec.power > 1))
         full = _aligned_empty((rows + spec.m, total))
@@ -229,7 +235,7 @@ def train(model, dataset, config):
         for cols in {batch, total % batch} - {0}:
             data = full if cols == total else _aligned_empty((len(full), cols))
             split = data[:width], data[rows - width:rows], data[rows:]
-            cache = [*_aligned_empty((len(block), width, cols))]
+            cache = [*_aligned_empty((hidden, width, cols))]
             work[cols] = data, split, cache, _aligned_empty((spec.m, cols))
         if batch < total:
             slots, out = [*_aligned_empty((2, width, total))], _aligned_empty(targets.shape)
@@ -250,11 +256,9 @@ def train(model, dataset, config):
                     if order is not None:  # mode="clip" writes out= without a buffer copy
                         full.take(order[lo : lo + batch], axis=1, out=data, mode="clip")
                     _layers(weights, b_xa, b_xc, cache, y)
-                    _errors(weights, b_xa, b_xc, [b_xa, *cache], y, b_targets, grad_block, grads)
-                    grad_block *= lr
-                    block -= grad_block
-                    grads[-1] *= lr
-                    weights[-1] -= grads[-1]
+                    _errors(weights, b_xa, b_xc, [b_xa, *cache], y, b_targets, grad, grads)
+                    grad *= lr
+                    params -= grad
                 mse = metric()
                 record.mse_per_epoch.append(mse)
                 if not np.isfinite(mse) or mse > DIVERGENCE_CEILING:

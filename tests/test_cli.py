@@ -269,6 +269,50 @@ def test_compare_records_a_diverged_seed_as_inf_and_carries_on(tmp_path):
     assert "inf" in finals and len(set(finals)) > 1  # some seeds diverge, some do not
 
 
+def test_compare_records_a_seed_that_overflows_mid_epoch_as_inf(tmp_path):
+    data = tmp_path / "d.csv"
+    main(["gen", "--n", "2", "--degree", "3", "--items", "5", "--seed", "1",
+          "--out", str(tmp_path / "t.csv"), "--data-out", str(data), "--samples", "30"])
+    out = tmp_path / "table.csv"
+    rc = main(["compare", "--variant", "crpnn1", "--orders", "2", "3", "--seeds", "2",
+               "--lr", "50", "--epochs", "20", "--batch-size", "4",
+               "--data", str(data), "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [row[:3] for row in rows] == [
+        ["crpnn1", str(order), str(seed)] for order in (2, 3) for seed in (0, 1)
+    ]
+    dataset = read_dataset_csv(data.read_bytes())
+    raised = set()
+    for _, order, seed, final_mse, _ in rows:
+        model = init_weights(NetworkSpec.crpnn1(2, 1, int(order)), seed=int(seed))
+        config = TrainConfig(learning_rate=50, epochs=20, batch_size=4, seed=int(seed))
+        try:
+            expected = train(model, dataset, config)[1].final_mse
+        except (TrainingDivergedError, FloatingPointError) as exc:
+            raised.add(type(exc))
+            expected = float("inf")
+        assert final_mse == repr(expected)
+    assert FloatingPointError in raised  # the step overflowed, not only the epoch's MSE
+
+
+def test_compare_plans_every_cell_before_training_any(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "d.csv"
+    main(["gen", "--n", "2", "--degree", "3", "--items", "5", "--seed", "1",
+          "--out", str(tmp_path / "t.csv"), "--data-out", str(data), "--samples", "30"])
+
+    def train_too_soon(*args):
+        raise AssertionError("a cell trained before every cell was planned")
+
+    monkeypatch.setattr(cli, "train", train_too_soon)
+    out = tmp_path / "table.csv"
+    rc = main(["compare", "--orders", "2", "3", "--seeds", "2", "--data", str(data),
+               "--out", str(out)])
+    assert rc == 1
+    assert "CR-PNN II is inapplicable for order 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_csv_line_exits_1_naming_the_line(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_bytes(b"x1,y1\n1,2\r3,4\n")  # a lone carriage return inside a row

@@ -1,7 +1,8 @@
 """Every name a module of the package or of its tests imports is used there,
 the package names every module-level private function of its own outside
-that function's body, only the CLI opens files, and only the network module
-tells the two variants' layer plans apart.
+that function's body, only the CLI opens files, only the network module
+tells the two variants' layer plans apart, and ``train`` is the package's
+one training loop.
 
 No linter is a dependency of the project, so this stands in for pyflakes'
 unused-import check.  ``__init__.py`` is left out: its imports are the
@@ -150,4 +151,33 @@ def test_only_the_network_tells_the_layer_plans_apart():
             found[p.name, "variant"] = mentions(
                 source, attrs=("variant",), names=("CRPNN1", "CRPNN2")
             )
+    assert {key: lines for key, lines in found.items() if lines} == {}
+
+
+def calls_to(source, names):
+    """Line numbers of the calls to a function in ``names``, by name or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_checker_finds_calls_by_name_and_attribute():
+    source = "from .t import backward\nbackward(m)\nt.sgd_step(m, g)\nf = backward\nx.backward\n"
+    assert calls_to(source, ("backward", "sgd_step")) == [2, 3]
+
+
+def test_one_training_step_in_the_package():
+    # the bench times train itself, so nothing in the package steps a model by
+    # hand; grad_check, in training.py, is the public backward's one caller
+    found = {}
+    for p in sorted(SRC.glob("*.py")):
+        source = p.read_text()
+        found[p.name, "sgd_step"] = calls_to(source, ("sgd_step",))
+        if p.name != "training.py":
+            found[p.name, "backward"] = calls_to(source, ("backward",))
     assert {key: lines for key, lines in found.items() if lines} == {}

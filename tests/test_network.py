@@ -1,7 +1,10 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crpnn.linalg import MultiplyCounter, ShapeError
 from crpnn.network import (
@@ -222,6 +225,58 @@ def test_load_rejects_inconsistent_plan():
     blob = save_model(model).decode()
     with pytest.raises(ModelFormatError, match="plan"):
         load_model(blob.replace('"power": 3', '"power": 2').encode())
+
+
+def test_load_rejects_an_integer_too_large_for_a_float():
+    doc = json.loads(save_model(init_weights(NetworkSpec.crpnn1(1, 1, 1), seed=0)))
+    doc["weights"][0]["data"][0] = 10**400
+    with pytest.raises(ModelFormatError, match="weight matrix 0 has non-numeric data"):
+        load_model(json.dumps(doc).encode())
+    with pytest.raises(ModelFormatError, match="not valid JSON"):
+        load_model(b'{"n": ' + b"9" * 5000 + b"}")  # over the int digit limit
+
+
+# sizes up to 10**12: a corrupt document must fail before anything is sized from it
+SIZES = st.integers(-2, 6) | st.integers(1, 12).map(lambda e: 10**e) | st.integers(-(10**12), 10**12)
+JSON = st.recursive(
+    st.none() | st.booleans() | SIZES | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+FIELDS = ("order", "n", "m", "taylor_layers", "power", "variant", "weights")
+
+
+@st.composite
+def model_documents(draw):
+    """A saved model with one field replaced, maybe a field of one weight
+    entry replaced and maybe one field deleted; or any JSON object at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.dictionaries(st.text(max_size=8), JSON, max_size=6))
+    variant = draw(st.sampled_from([CRPNN1, CRPNN2]))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    low = n + 2 if variant == CRPNN2 else 1
+    spec = NetworkSpec.create(variant, n, m, draw(st.integers(low, low + 3)))
+    doc = json.loads(save_model(init_weights(spec, seed=0)))
+    entry = draw(st.sampled_from(doc["weights"]))
+    entry.update(draw(st.dictionaries(st.sampled_from(sorted(entry)), SIZES | JSON, max_size=2)))
+    key = draw(st.sampled_from(FIELDS))
+    doc[key] = draw(JSON if key in ("variant", "weights") else SIZES)
+    for key in draw(st.sets(st.sampled_from(FIELDS), max_size=1)):
+        del doc[key]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_documents())
+@example({"variant": "crpnn1", "n": 1, "m": 1, "order": 10**12, "weights": []})
+def test_any_json_object_loads_and_round_trips_or_raises_model_format_error(doc):
+    try:
+        model = load_model(json.dumps(doc).encode())
+    except ModelFormatError:
+        return
+    blob = save_model(model)
+    again = load_model(blob)
+    assert again.spec == model.spec and save_model(again) == blob
 
 
 def test_spectrum_forward_agreement_random_models():

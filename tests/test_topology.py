@@ -60,6 +60,12 @@ def test_closed_form_taylor_count():
             assert plan.taylor_layers == max(n, math.ceil((order - 3) / 2))
 
 
+def test_plan_at_a_huge_order_takes_no_loop():
+    # a corrupt model document may declare any order; planning it is O(1)
+    plan = plan_topology(2, 1, 10**12)
+    assert (plan.taylor_layers, plan.power) == (5 * 10**11 - 1, 5 * 10**11)
+
+
 def test_plan_invariants_hold_on_grid():
     for n in range(1, 11):
         for order in range(n + 2, 41):

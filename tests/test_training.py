@@ -266,6 +266,19 @@ def test_backward_leaves_caller_arrays_unmodified(sizing):
         np.testing.assert_array_equal(g, g_kept)
 
 
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_every_gradient_is_a_view_of_one_vector(sizing):
+    # laid out as the weights: hidden matrices in order, the output matrix last
+    model = init_weights(NetworkSpec.create(*sizing), seed=6)
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(-1, 1, size=(sizing[1], 5))
+    grads = backward(model, xs, rng.uniform(-1, 1, size=(sizing[2], 5)))
+    flat = grads[0].base
+    assert flat.ndim == 1 and flat.size == sum(w.size for w in model.weights)
+    assert all(g.base is flat and g.flags.c_contiguous for g in grads)
+    np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in grads]))
+
+
 def test_too_few_weight_matrices_raise_shape_error():
     # two matrices would train as CR-PNN I of order 2, not the declared order 3
     spec = NetworkSpec.crpnn1(2, 1, 3)
