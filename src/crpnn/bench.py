@@ -8,8 +8,9 @@ timed separately on a monotonic clock.  Statistics are aggregated across
 runs with the (runs-1)-divisor standard deviation.
 
 Multiply counts cover multiplications only; additions are never counted.
-A timed epoch is the epoch ``crpnn train`` runs: one full-batch step plus
-the full-dataset MSE.  Training targets are seeded uniform noise: timing
+A timed epoch is the epoch ``crpnn train`` runs: one full-batch step, whose
+forward pass also gives the last epoch's MSE (the call's last epoch adds
+one forward pass for its own).  Training targets are seeded uniform noise: timing
 does not depend on what the labels mean.
 """
 

@@ -1,7 +1,9 @@
 """Dense numpy kernels under every product in the package.
 
 Every dense product in the package (forward passes, backprop, benchmarks)
-bottoms out in one of the five kernels below.  Each takes an optional
+bottoms out in one of the five kernels below.  ``matmul_nt`` also takes
+stacks of matrices, (s, r, k) by (s, c, k), and runs the s products in one
+call; each slice equals the 2-D product bit for bit.  Each takes an optional
 keyword-only ``out`` array of the result's shape, writes the result there
 and returns it; without ``out`` it allocates the result.  ``out`` must not
 overlap an operand, except that the elementwise ``hadamard`` may write over
@@ -23,10 +25,11 @@ def matmul(a, b, *, out=None, counter=None):
 
 
 def matmul_nt(a, b, *, out=None, counter=None):
-    """a @ b.T"""
+    """a @ b.T, or over stacks of matrices, each of ``a`` times its ``b`` transposed"""
     if counter is not None:
-        counter.add(a.shape[0] * a.shape[1] * b.shape[0])
-    return np.matmul(a, b.T, out=out)
+        counter.add(a.size * b.shape[-2])
+    # the method, not np.swapaxes (1 us more per call) nor .mT (numpy >= 2.0)
+    return np.matmul(a, b.swapaxes(-1, -2), out=out)
 
 
 def matmul_tn(a, b, *, out=None, counter=None):

@@ -261,9 +261,15 @@ def load_model(data):
                 f"weight matrix {idx} declares {rows}x{cols} but carries "
                 f"{len(flat) if isinstance(flat, list) else 'non-list'} entries"
             )
+        # numpy would parse "1.5" and cast true; a bool is no JSON number
+        bad = next((j for j, v in enumerate(flat) if type(v) not in (int, float)), None)
+        if bad is not None:
+            raise ModelFormatError(
+                f"weight matrix {idx} has non-numeric data: entry {bad} is {flat[bad]!r}"
+            )
         try:
             w = np.asarray(flat, dtype=np.float64).reshape(rows, cols)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:  # an integer too large for a float
             raise ModelFormatError(f"weight matrix {idx} has non-numeric data: {exc}") from exc
         weights.append(np.ascontiguousarray(w))
 

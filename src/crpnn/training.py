@@ -16,6 +16,10 @@ Backward chain, innermost layer last (X~ is the bias-augmented input):
 * Taylor layer:       dZ = dA o X~
 * first hidden layer: dZ = dA o X~^c  (c = ``spec.power``, 1 for CR-PNN I)
 * per layer:          dW = (1/B) dZ A_prev^T,   dA_prev = W^T dZ
+
+A wide pass forms each hidden dW as soon as its dZ exists.  A narrow one
+(see ``ERROR_BLOCK_BUDGET``) keeps every hidden dZ until the chain ends and
+then forms all hidden dW in two products, the second over a stack.
 """
 
 import math
@@ -114,14 +118,17 @@ def backward(model, inputs, targets):
     _check_batch(model, inputs, targets)
     spec = model.spec
     weights = _checked_weights(spec, model.weights)
-    grad, grads = _packed(spec, len(weights) - 1, np.empty)
+    hidden, width, cols = len(weights) - 1, spec.n + 1, inputs.shape[1]
+    grad, grads = _packed(spec, hidden, np.empty)
     # X~, one cache slot per hidden layer and, for c > 1, X~^c last
-    operands = np.empty((len(weights) + (spec.power > 1), spec.n + 1, inputs.shape[1]))
-    acts = [*operands[: len(weights)]]
+    operands = np.empty((hidden + 1 + (spec.power > 1), width, cols))
+    xa, stack = operands[0], operands[1 : hidden + 1]
+    cache = [*stack]
     with np.errstate(over="ignore", invalid="ignore"):
-        xc = _fill_inputs(spec, inputs, acts[0], operands[-1])
-        y = _layers(weights, acts[0], xc, acts[1:], np.empty(targets.shape))
-        _errors(weights, acts[0], xc, acts, y, targets, grad, grads)
+        xc = _fill_inputs(spec, inputs, xa, operands[-1])
+        y = _layers(weights, xa, xc, cache, np.empty(targets.shape))
+        d = np.subtract(y, targets, out=y)
+        _errors(weights, xa, xc, cache, d, grad, grads, _error_block(stack, grad, np.empty))
     return grads
 
 
@@ -134,30 +141,63 @@ def _packed(spec, hidden, empty):
     return flat, [*flat[:head].reshape(hidden, width, width), flat[head:].reshape(spec.m, width)]
 
 
-def _errors(weights, xa, xc, acts, y, targets, grad, grads):
-    """Backward pass into ``grads``, the weight-shaped views of ``grad``,
-    after a forward pass that kept its cache in ``acts`` and ``y``.
+# A narrow pass writes its hidden errors into a (hidden, n+1, B) block of
+# their own and forms every hidden dW after the chain, in two products; a
+# wide one forms each dW as soon as its error exists.  Full-batch train step
+# on one thread at n=5, order 14, stacked time / eager time (block size):
+#   CR-PNN I, 13 hidden:  0.79 at B=32 (20 KiB), 0.92 at 512 (312 KiB),
+#     0.96 at 896 (546 KiB), 1.01 at 1024 (624 KiB), 1.15 at 2000, 1.2-1.4 at 5000
+#   CR-PNN II, 7 hidden:  0.88 at B=32 (10 KiB), 0.98 at 1024 (336 KiB),
+#     1.04 at 1700 (558 KiB), 1.11 at 2000 (656 KiB), 1.25 at 5000
+# Break-even lies at a block of 500-620 KiB, with 2 MiB of L2 per core.
+ERROR_BLOCK_BUDGET = 512 * 1024  # bytes
 
-    The output seed is formed in place in ``y``, and each hidden layer's
-    error in the slot of ``acts`` that held that layer's output, which its
-    own gradient has already read.  ``grad`` is scaled by 1/B and checked
-    once.  Raises FloatingPointError if ``y`` or a gradient is non-finite;
-    callers run it under ``np.errstate``.
+
+def _error_block(stack, grad, empty):
+    """For a forward cache held in the (hidden, n+1, B) array ``stack``:
+    where the stacked gradient product pays (see ERROR_BLOCK_BUDGET), the
+    per-layer slots of an error block from ``empty`` and the three operands
+    of that product (errors of layers 1..h-1, the cache of layers 0..h-2,
+    their dW in ``grad``); else None, the eager chain, which allocates nothing."""
+    if not 0 < stack.nbytes <= ERROR_BLOCK_BUDGET:
+        return None
+    hidden, width, _ = stack.shape
+    block = empty(stack.shape)
+    head = grad[: hidden * width * width].reshape(hidden, width, width)
+    return [*block], (block[1:], stack[:-1], head[1:])
+
+
+def _errors(weights, xa, xc, cache, d, grad, grads, block):
+    """Backward pass into ``grads``, the weight-shaped views of ``grad``,
+    after a forward pass that kept its cache in the slots ``cache`` and whose
+    output seed d = y - t the caller formed in ``d``.
+
+    With ``block`` from :func:`_error_block`, hidden layer i's error goes into
+    slot i of the error block, and after the chain layer 0's dW is one
+    product against X~ and layers 1..h-1 one stacked product against the
+    cache.  With ``block`` None it goes into ``cache[i]``, whose output the
+    gradient of layer i+1 has already read, and its dW is formed at once.
+    ``grad`` is scaled by 1/B and checked once.  Raises FloatingPointError
+    if ``d`` or a gradient is non-finite; callers run it under ``np.errstate``.
     """
-    if not np.isfinite(y).all():
+    if not np.isfinite(d).all():
         raise FloatingPointError(
             "forward pass overflowed (non-finite activations); "
             "scale inputs to [-1, 1] or lower the learning rate"
         )
-    d_pre = np.subtract(y, targets, out=y)
-    kernels.matmul_nt(d_pre, acts[-1], out=grads[-1])
-    for i in range(len(grads) - 2, -1, -1):
-        # d_pre sits in acts[i + 2] (or y); acts[i + 1] is no longer needed
-        d_pre = kernels.matmul_tn(weights[i + 1], d_pre, out=acts[i + 1])
-        gate = xc if i == 0 else xa
-        kernels.hadamard(d_pre, gate, out=d_pre)
-        kernels.matmul_nt(d_pre, acts[i], out=grads[i])
-    grad *= 1.0 / y.shape[1]
+    hidden = len(cache)
+    kernels.matmul_nt(d, cache[-1] if hidden else xa, out=grads[-1])
+    errors = cache if block is None else block[0]
+    for i in range(hidden - 1, -1, -1):
+        d = kernels.matmul_tn(weights[i + 1], d, out=errors[i])
+        kernels.hadamard(d, xc if i == 0 else xa, out=d)
+        if block is None:
+            kernels.matmul_nt(d, cache[i - 1] if i else xa, out=grads[i])
+    if block is not None:
+        kernels.matmul_nt(errors[0], xa, out=grads[0])
+        stacked_errors, stacked_cache, stacked_grads = block[1]
+        kernels.matmul_nt(stacked_errors, stacked_cache, out=stacked_grads)
+    grad *= 1.0 / xa.shape[1]
     if not np.isfinite(grad).all():
         idx = next(i for i, g in enumerate(grads) if not np.isfinite(g).all())
         raise FloatingPointError(
@@ -191,16 +231,21 @@ def train(model, dataset, config):
     """Run (mini)batch gradient descent; returns (model, TrainRecord).
 
     Records the full-dataset MSE after every epoch and aborts loudly if it
-    goes non-finite or above 1e12: the TrainingDivergedError names the epoch
-    and the MSE, and no record is returned.  Deterministic for a given config
-    seed; full-batch runs never touch the RNG.
+    goes non-finite or above 1e12, before the next step: the
+    TrainingDivergedError names the epoch and the MSE, and no record is
+    returned.  Deterministic for a given config seed; full-batch runs never
+    touch the RNG.  A full-batch epoch runs one forward pass: epoch e's MSE
+    is taken from the y - t of step e+1's pass, which runs at the same
+    weights, and only the last epoch adds a pass of its own.  A minibatch
+    epoch ends with a forward pass over the dataset for its MSE.
 
     Model and dataset are checked once, before the first step.  The weights
     and the gradients are packed into one float64 vector each (see
     :func:`_packed`), X~, X~^c and the targets written once as rows of one
     block over the dataset, and each batch width (at most two) gets its
     buffers once.  A minibatch step gathers its columns with one ``take`` (a
-    full-batch step gathers nothing), runs forward and backward there and
+    full-batch step gathers nothing), runs forward and backward there (a
+    width within ``ERROR_BLOCK_BUDGET`` also gets its error block once) and
     updates the weights with ``g *= lr; w -= g``, rounding as ``w -= lr * g``.
     The weights are written back into the model's own arrays, in their own
     dtype and layout, when the call returns or raises.
@@ -231,12 +276,13 @@ def train(model, dataset, config):
         xc = _fill_inputs(spec, inputs, xa, full[width:rows])
         full[rows:] = targets
 
-        work = {}  # per batch width: its columns of full, split as full is, its cache and output
+        work = {}  # per batch width: its columns of full, split as full is, cache, output, error block
         for cols in {batch, total % batch} - {0}:
             data = full if cols == total else _aligned_empty((len(full), cols))
             split = data[:width], data[rows - width:rows], data[rows:]
-            cache = [*_aligned_empty((hidden, width, cols))]
-            work[cols] = data, split, cache, _aligned_empty((spec.m, cols))
+            stack = _aligned_empty((hidden, width, cols))
+            y = _aligned_empty((spec.m, cols))
+            work[cols] = data, split, [*stack], y, _error_block(stack, grad, _aligned_empty)
         if batch < total:
             slots, out = [*_aligned_empty((2, width, total))], _aligned_empty(targets.shape)
         else:
@@ -245,6 +291,17 @@ def train(model, dataset, config):
         def metric():
             return loss_mse(_layers(weights, xa, xc, slots, out), targets)
 
+        def close_epoch(epoch, mse):
+            nonlocal lr
+            record.mse_per_epoch.append(mse)
+            if not np.isfinite(mse) or mse > DIVERGENCE_CEILING:
+                raise TrainingDivergedError(
+                    f"training diverged at epoch {epoch}: mse={mse!r} "
+                    f"(learning rate {lr!r} too large for this topology?)"
+                )
+            if config.lr_decay is not None:
+                lr *= config.lr_decay
+
         rng = np.random.default_rng(config.seed)
         lr = config.learning_rate
         record = TrainRecord()
@@ -252,22 +309,19 @@ def train(model, dataset, config):
             for epoch in range(config.epochs):
                 order = rng.permutation(total) if batch < total else None
                 for lo in range(0, total, batch):
-                    data, (b_xa, b_xc, b_targets), cache, y = work[min(batch, total - lo)]
+                    data, (b_xa, b_xc, b_targets), cache, y, block = work[min(batch, total - lo)]
                     if order is not None:  # mode="clip" writes out= without a buffer copy
                         full.take(order[lo : lo + batch], axis=1, out=data, mode="clip")
                     _layers(weights, b_xa, b_xc, cache, y)
-                    _errors(weights, b_xa, b_xc, [b_xa, *cache], y, b_targets, grad, grads)
+                    d = np.subtract(y, b_targets, out=y)
+                    if order is None and epoch:
+                        # at full batch this pass runs at the weights the last epoch left
+                        close_epoch(epoch - 1, float(np.mean(d * d)))
+                    _errors(weights, b_xa, b_xc, cache, d, grad, grads, block)
                     grad *= lr
                     params -= grad
-                mse = metric()
-                record.mse_per_epoch.append(mse)
-                if not np.isfinite(mse) or mse > DIVERGENCE_CEILING:
-                    raise TrainingDivergedError(
-                        f"training diverged at epoch {epoch}: mse={mse!r} "
-                        f"(learning rate {lr!r} too large for this topology?)"
-                    )
-                if config.lr_decay is not None:
-                    lr *= config.lr_decay
+                if order is not None or epoch == config.epochs - 1:
+                    close_epoch(epoch, metric())
             record.final_mse = record.mse_per_epoch[-1] if record.mse_per_epoch else metric()
         finally:
             for w, trained in zip(model.weights, weights):

@@ -1,8 +1,8 @@
 """Every name a module of the package or of its tests imports is used there,
 the package names every module-level private function of its own outside
 that function's body, only the CLI opens files, only the network module
-tells the two variants' layer plans apart, and ``train`` is the package's
-one training loop.
+tells the two variants' layer plans apart, ``train`` is the package's one
+training loop, and every dense product runs in the kernels module.
 
 No linter is a dependency of the project, so this stands in for pyflakes'
 unused-import check.  ``__init__.py`` is left out: its imports are the
@@ -181,3 +181,38 @@ def test_one_training_step_in_the_package():
         if p.name != "training.py":
             found[p.name, "backward"] = calls_to(source, ("backward",))
     assert {key: lines for key, lines in found.items() if lines} == {}
+
+
+def dense_products(source):
+    """Line numbers where a module names ``matmul``, ``dot`` or ``einsum`` as
+    an attribute (``np.matmul``, ``numpy.dot``, ``a.dot``) or uses ``@`` or ``@=``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found = node.attr in ("matmul", "dot", "einsum")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            found = isinstance(node.op, ast.MatMult)
+        else:
+            continue
+        if found:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_dense_products():
+    source = (
+        "import numpy\n"
+        "c = np.matmul(a, b)\n"
+        "c = a @ b.T\n"
+        "c @= b\n"
+        "c = numpy.einsum('ij,jk', a, b) + a.dot(b)\n"
+        "c = a * b  # a @ b in a comment\n"
+        "matmul = kernels.matmul_nt\n"
+    )
+    assert dense_products(source) == [2, 3, 4, 5, 5]
+
+
+def test_dense_products_run_only_in_the_kernels():
+    # every product goes through crpnn.kernels, where the multiply counter sees it
+    found = {p.name: dense_products(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines and name != "kernels.py"} == {}

@@ -2,6 +2,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from crpnn import kernels
 from crpnn.linalg import MultiplyCounter
@@ -30,6 +31,20 @@ def test_numpy_kernels_basics():
         out = np.full(expected.shape, np.nan)
         assert kernel(*args, out=out) is out
         np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("slices, rows, cols", [(1, 6, 32), (12, 6, 32), (3, 4, 5000), (5, 1, 7)])
+def test_stacked_matmul_nt_is_the_per_slice_products(slices, rows, cols):
+    rng = np.random.default_rng(slices)
+    a = rng.uniform(-1, 1, (slices, rows, cols))
+    b = rng.uniform(-1, 1, (slices, 6, cols))
+    counter, slice_counter = MultiplyCounter(), MultiplyCounter()
+    out = np.full((slices, rows, 6), np.nan)
+    assert kernels.matmul_nt(a, b, out=out, counter=counter) is out
+    for i in range(slices):
+        expected = kernels.matmul_nt(a[i], b[i], counter=slice_counter)
+        np.testing.assert_array_equal(out[i], expected, strict=True)
+    assert counter.count == slice_counter.count == slices * rows * cols * 6
 
 
 def test_hadamard_may_write_over_an_operand():

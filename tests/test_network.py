@@ -227,6 +227,14 @@ def test_load_rejects_inconsistent_plan():
         load_model(blob.replace('"power": 3', '"power": 2').encode())
 
 
+@pytest.mark.parametrize("data", [["1.5", True], [1.5, True], [None, 2.0], [1.0, [2.0]]])
+def test_load_rejects_weight_entries_that_are_not_json_numbers(data):
+    doc = json.loads(save_model(init_weights(NetworkSpec.crpnn1(1, 1, 1), seed=0)))
+    doc["weights"][0]["data"] = data
+    with pytest.raises(ModelFormatError, match="weight matrix 0 has non-numeric data"):
+        load_model(json.dumps(doc).encode())
+
+
 def test_load_rejects_an_integer_too_large_for_a_float():
     doc = json.loads(save_model(init_weights(NetworkSpec.crpnn1(1, 1, 1), seed=0)))
     doc["weights"][0]["data"][0] = 10**400

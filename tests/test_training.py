@@ -10,6 +10,7 @@ from crpnn.linalg import ShapeError
 from crpnn.network import CRPNN1, CRPNN2, CrpnnModel, NetworkSpec, init_weights, predict_batch
 from crpnn.spectrum import RelationSpectrum, evaluate_spectrum_cols
 from crpnn.training import (
+    ERROR_BLOCK_BUDGET,
     TrainConfig,
     TrainingDivergedError,
     backward,
@@ -235,7 +236,11 @@ def reference_backward(model, xs, ts):
     return grads
 
 
-@pytest.mark.parametrize("cols", [1, 32, 37])
+# wider than the error-block budget at any hidden-layer count: the eager chain
+WIDE = ERROR_BLOCK_BUDGET // 8 + 1
+
+
+@pytest.mark.parametrize("cols", [1, 32, 37, WIDE])
 @pytest.mark.parametrize("sizing", ENGINE_SPECS)
 def test_backward_is_bit_identical_to_allocating_reference(sizing, cols):
     model = init_weights(NetworkSpec.create(*sizing), seed=6)
@@ -439,6 +444,46 @@ def test_train_is_bit_identical_to_the_loop_of_public_calls(sizing, batch_size, 
     config = TrainConfig(learning_rate=0.05, epochs=4, batch_size=batch_size, seed=3, lr_decay=lr_decay)
     err = assert_train_matches_reference(model, dataset_for(spec, 37, 1), config)
     assert err is None
+
+
+@pytest.mark.parametrize("lr_decay", [None, 0.9])
+@pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
+def test_train_matches_the_loop_of_public_calls_on_both_sides_of_the_size_rule(variant, lr_decay):
+    # full-batch passes over the error-block budget run the eager chain,
+    # minibatches of 64 (and the short last batch) the stacked product
+    spec = NetworkSpec.create(variant, 3, 1, 7)
+    hidden = len(spec.weight_shapes()) - 1
+    samples = ERROR_BLOCK_BUDGET // (8 * hidden * 4) + 3
+    assert 8 * hidden * 4 * 64 <= ERROR_BLOCK_BUDGET < 8 * hidden * 4 * samples
+    ds = dataset_for(spec, samples, 7)
+    for batch_size in (None, 64):
+        config = TrainConfig(learning_rate=0.05, epochs=2, batch_size=batch_size, seed=5, lr_decay=lr_decay)
+        assert assert_train_matches_reference(init_weights(spec, seed=3), ds, config) is None
+
+
+@pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
+def test_a_full_batch_epoch_runs_one_forward_pass(monkeypatch, variant):
+    # epoch e's MSE comes from the forward pass of step e+1; the last epoch
+    # adds one pass; a minibatch epoch runs one per batch plus its metric
+    import crpnn.training
+
+    calls = []
+
+    def counting_layers(*args, **kwargs):
+        calls.append(args[-1].shape[1])
+        return layers(*args, **kwargs)
+
+    layers = crpnn.training._layers
+    monkeypatch.setattr(crpnn.training, "_layers", counting_layers)
+    spec = NetworkSpec.create(variant, 2, 1, 6)
+    ds = dataset_for(spec, 37, 8)
+    for batch_size, epochs, widths in [
+        (None, 5, [37] * 6), (None, 1, [37, 37]), (None, 0, [37]), (16, 3, [16, 16, 5, 37] * 3),
+    ]:
+        calls.clear()
+        config = TrainConfig(learning_rate=0.05, epochs=epochs, batch_size=batch_size, seed=1)
+        train(init_weights(spec, seed=0), ds, config)
+        assert calls == widths
 
 
 @pytest.mark.parametrize(
