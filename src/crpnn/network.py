@@ -256,6 +256,8 @@ def load_model(data):
             rows, cols, flat = _json_int(entry, "rows"), _json_int(entry, "cols"), entry["data"]
         except (KeyError, TypeError) as exc:
             raise ModelFormatError(f"weight matrix {idx} is malformed: {exc}") from exc
+        if rows < 0 or cols < 0:  # -2 x -2 would pass the length check below
+            raise ModelFormatError(f"weight matrix {idx} declares negative size {rows}x{cols}")
         if not isinstance(flat, list) or len(flat) != rows * cols:
             raise ModelFormatError(
                 f"weight matrix {idx} declares {rows}x{cols} but carries "

@@ -277,6 +277,8 @@ def model_documents(draw):
 @settings(max_examples=300, deadline=None)
 @given(model_documents())
 @example({"variant": "crpnn1", "n": 1, "m": 1, "order": 10**12, "weights": []})
+@example({"variant": "crpnn1", "n": 1, "m": 1, "order": 2, "weights": [
+    {"rows": -2, "cols": -2, "data": [0.5, 0.5, 0.5, 0.5]}, {"rows": 1, "cols": 2, "data": [0.5, 0.5]}]})
 def test_any_json_object_loads_and_round_trips_or_raises_model_format_error(doc):
     try:
         model = load_model(json.dumps(doc).encode())
