@@ -13,7 +13,6 @@ from .datagen import (
     CapacityError,
     Dataset,
     DatasetFormatError,
-    TargetPolynomial,
     gen_random_polynomial,
     make_dataset,
     read_dataset_csv,

@@ -194,7 +194,7 @@ def cmd_gen(args):
     target = gen_random_polynomial(
         args.n, args.degree, args.items, args.coeff_low, args.coeff_high, seed
     )
-    outputs = [(export_spectrum(target.spectrum), args.out)]
+    outputs = [(export_spectrum(target), args.out)]
     if args.data_out is not None:
         rng = np.random.default_rng(seed)
         inputs = default_inputs(args.n, args.samples, rng, args.t_start, args.t_end)

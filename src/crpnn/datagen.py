@@ -1,6 +1,7 @@
 """Synthetic experiment inputs: random polynomial targets and sine trajectories.
 
-Targets are sparse random polynomials (a seeded sample of distinct monomials
+Targets are relation spectra, the type trained models expand to; the
+generator draws sparse random ones (a seeded sample of distinct monomials
 with uniform coefficients), standing in for externally-published benchmark
 functions of the same item counts.  The standard excitation signal is the
 five-sine trajectory
@@ -31,20 +32,6 @@ class CapacityError(ValueError):
 
 class DatasetFormatError(FormatError):
     """Dataset CSV is malformed; carries the offending line number."""
-
-
-@dataclass(frozen=True)
-class TargetPolynomial:
-    """A single-output random polynomial plus the arguments that produced it."""
-
-    spectrum: RelationSpectrum
-    seed: int
-    n_items: int
-    max_degree: int
-
-    @property
-    def n(self):
-        return self.spectrum.n
 
 
 @dataclass(frozen=True)
@@ -81,7 +68,9 @@ class Dataset:
 
 
 def gen_random_polynomial(n, max_degree, n_items, coeff_low=-1.0, coeff_high=1.0, seed=0):
-    """Sample n_items distinct monomials of total degree <= max_degree.
+    """A one-output RelationSpectrum of n_items distinct monomials of total
+    degree <= max_degree, its terms in the order they were drawn (the order
+    in which evaluation sums them, so it fixes every dataset's bits).
 
     Monomials are drawn uniformly without replacement from the full universe,
     coefficients uniformly from [coeff_low, coeff_high]; the whole draw is
@@ -119,12 +108,7 @@ def gen_random_polynomial(n, max_degree, n_items, coeff_low=-1.0, coeff_high=1.0
             continue
         break
     terms = {e: float(c) for e, c in zip(monomials, coeffs)}
-    return TargetPolynomial(
-        spectrum=RelationSpectrum(n=n, m=1, terms=(terms,)),
-        seed=seed,
-        n_items=n_items,
-        max_degree=max_degree,
-    )
+    return RelationSpectrum(n=n, m=1, terms=(terms,))
 
 
 def sample_sine_trajectory(n_samples, t_start=0.0, t_end=7.0):
@@ -155,14 +139,10 @@ def default_inputs(n, samples, rng, t_start=0.0, t_end=7.0):
     return rng.uniform(-1.0, 1.0, size=(n, samples))
 
 
-def make_dataset(target, inputs):
-    """Evaluate a target polynomial on column samples; returns a Dataset."""
-    inputs = as_array(inputs, 2, "inputs")
-    if inputs.shape[0] != target.n:
-        raise ShapeError(
-            f"target has {target.n} variables, inputs have {inputs.shape[0]} rows"
-        )
-    return Dataset(inputs=inputs, targets=evaluate_spectrum_cols(target.spectrum, inputs))
+def make_dataset(spectrum, inputs):
+    """Evaluate a target spectrum, of any output count m, on n x K column
+    samples; returns a Dataset with m x K targets."""
+    return Dataset(inputs=inputs, targets=evaluate_spectrum_cols(spectrum, inputs))
 
 
 def write_dataset_csv(dataset):

@@ -33,6 +33,7 @@ from .linalg import ShapeError, as_array
 from .network import _checked_weights
 
 MAX_DENSE_ENTRIES = 6 * 10 ** 6
+MAX_OUTPUT_INDEX = 10 ** 5  # import builds one map per index up to the largest
 CANONICAL_REL_EPS = 1e-14
 SUPPORT_THRESHOLD = 1e-9
 
@@ -55,6 +56,12 @@ class RelationSpectrum:
     n: int
     m: int
     terms: tuple
+
+    def __post_init__(self):
+        if len(self.terms) != self.m:
+            raise ShapeError(
+                f"spectrum has m={self.m} outputs but {len(self.terms)} term maps"
+            )
 
     def item_count(self):
         return sum(len(t) for t in self.terms)
@@ -233,7 +240,8 @@ def import_spectrum(data):
     """Parse CSV bytes produced by :func:`export_spectrum`.
 
     The schema carries no output count, so m is inferred as the largest
-    output index + 1 (1 for a term-less file).  Exact-zero coefficients are
+    output index + 1 (1 for a term-less file); an index above
+    MAX_OUTPUT_INDEX is refused.  Exact-zero coefficients are
     dropped to keep the canonical form.
     """
     header, rows = read_csv(data, SpectrumFormatError)
@@ -261,6 +269,11 @@ def import_spectrum(data):
             raise SpectrumFormatError(f"negative exponent in {exps}", line=lineno)
         if out_idx < 0:
             raise SpectrumFormatError(f"negative output index {out_idx}", line=lineno)
+        if out_idx > MAX_OUTPUT_INDEX:
+            raise SpectrumFormatError(
+                f"output index {out_idx} exceeds the import guard of {MAX_OUTPUT_INDEX}",
+                line=lineno,
+            )
         if not math.isfinite(coef):
             raise SpectrumFormatError(f"non-finite coefficient {row[n + 1]}", line=lineno)
         if (out_idx, exps) in seen:

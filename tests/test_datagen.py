@@ -15,7 +15,7 @@ from crpnn.datagen import (
     write_dataset_csv,
 )
 from crpnn.linalg import ShapeError
-from crpnn.spectrum import RelationSpectrum, _graded_exponents
+from crpnn.spectrum import RelationSpectrum, _graded_exponents, evaluate_spectrum_cols
 
 
 def recursive_monomials(n, degree):
@@ -40,16 +40,19 @@ def test_lexsorted_basis_is_the_generator_universe(n, degree):
 def test_generator_draws_by_index_into_the_universe():
     target = gen_random_polynomial(3, 4, 6, seed=0)
     picks = np.random.default_rng(0).choice(math.comb(3 + 4, 3), size=6, replace=False)
-    assert list(target.spectrum.terms[0]) == [recursive_monomials(3, 4)[i] for i in picks]
-    assert all(type(e) is int for key in target.spectrum.terms[0] for e in key)
+    assert list(target.terms[0]) == [recursive_monomials(3, 4)[i] for i in picks]
+    assert all(type(e) is int for key in target.terms[0] for e in key)
 
 
 @pytest.mark.parametrize("items", [2772, 4737])
 def test_generator_produces_requested_item_counts(items):
     target = gen_random_polynomial(5, 14, items, seed=1)
-    terms = target.spectrum.terms[0]
+    assert (target.n, target.m) == (5, 1)
+    terms = target.terms[0]
     assert len(terms) == items
     assert max(sum(e) for e in terms) == 14
+    assert target.item_count() == items
+    assert target.max_total_degree() == 14
 
 
 def test_generator_capacity_error():
@@ -67,14 +70,14 @@ def test_generator_deterministic_and_seed_sensitive():
     a = gen_random_polynomial(3, 6, 30, seed=9)
     b = gen_random_polynomial(3, 6, 30, seed=9)
     c = gen_random_polynomial(3, 6, 30, seed=10)
-    assert a.spectrum.terms == b.spectrum.terms
-    assert a.spectrum.terms != c.spectrum.terms
+    assert a.terms == b.terms
+    assert a.terms != c.terms
 
 
 def test_generator_no_duplicates_and_degree_present():
     for seed in range(20):
         target = gen_random_polynomial(2, 5, 4, seed=seed)
-        terms = target.spectrum.terms[0]
+        terms = target.terms[0]
         assert len(terms) == 4  # dict keys are inherently distinct exponent tuples
         assert max(sum(e) for e in terms) == 5
         assert all(c != 0.0 for c in terms.values())
@@ -82,7 +85,7 @@ def test_generator_no_duplicates_and_degree_present():
 
 def test_generator_coefficient_range():
     target = gen_random_polynomial(2, 4, 10, coeff_low=0.5, coeff_high=2.0, seed=3)
-    values = list(target.spectrum.terms[0].values())
+    values = list(target.terms[0].values())
     assert all(0.5 <= v <= 2.0 for v in values)
 
 
@@ -135,12 +138,52 @@ def test_make_dataset_constant_target():
 
 
 def test_make_dataset_linear_target():
-    from crpnn.datagen import TargetPolynomial
-
-    spectrum = RelationSpectrum(n=2, m=1, terms=({(1, 0): 2.0},))
-    target = TargetPolynomial(spectrum=spectrum, seed=0, n_items=1, max_degree=1)
+    target = RelationSpectrum(n=2, m=1, terms=({(1, 0): 2.0},))
     ds = make_dataset(target, np.array([[0.5], [9.0]]))
     np.testing.assert_allclose(ds.targets, [[1.0]])
+
+
+def test_make_dataset_multi_output_henon_map():
+    # x' = 1 - 1.4 x^2 + y, y' = 0.3 x
+    henon = RelationSpectrum(
+        n=2, m=2, terms=({(0, 0): 1.0, (2, 0): -1.4, (0, 1): 1.0}, {(1, 0): 0.3})
+    )
+    xs = np.random.default_rng(6).uniform(-1.0, 1.0, size=(2, 50))
+    ds = make_dataset(henon, xs)
+    assert (ds.n, ds.m, ds.size) == (2, 2, 50)
+    np.testing.assert_array_equal(ds.targets, evaluate_spectrum_cols(henon, xs))
+    x, y = xs
+    np.testing.assert_allclose(ds.targets, [1.0 - 1.4 * x**2 + y, 0.3 * x], rtol=0, atol=1e-14)
+
+
+def _reference_targets(spectrum, xs):
+    """From 0.0, add coef * (powers multiplied left to right), term by term in
+    the spectrum's order, one column at a time in Python floats."""
+    out = []
+    for terms in spectrum.terms:
+        row = []
+        for x in xs.T.tolist():
+            acc = 0.0
+            for exps, coef in terms.items():
+                v = 1.0
+                for xi, e in zip(x, exps):
+                    p = 1.0
+                    for _ in range(e):
+                        p *= xi
+                    v *= p
+                acc += coef * v
+            row.append(acc)
+        out.append(row)
+    return np.array(out)
+
+
+def test_generated_targets_sum_terms_in_the_spectrums_order():
+    # the summation rule that keeps every generated dataset byte-identical
+    target = gen_random_polynomial(3, 8, 60, seed=4)
+    xs = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 40))
+    np.testing.assert_array_equal(
+        make_dataset(target, xs).targets, _reference_targets(target, xs)
+    )
 
 
 def test_make_dataset_dimension_mismatch():

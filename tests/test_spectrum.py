@@ -11,6 +11,7 @@ from crpnn.linalg import ShapeError
 from crpnn.network import CRPNN1, CRPNN2, CrpnnModel, NetworkSpec, forward, init_weights
 from crpnn.spectrum import (
     CANONICAL_REL_EPS,
+    MAX_OUTPUT_INDEX,
     RelationSpectrum,
     SpectrumFormatError,
     SpectrumSizeError,
@@ -250,6 +251,12 @@ def test_expansion_guard_counts_the_dense_block():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("m, terms", [(1, ({}, {(1, 0): 1.0})), (3, ({(1, 0): 1.0},)), (1, ())])
+def test_spectrum_refuses_an_output_count_its_terms_do_not_have(m, terms):
+    with pytest.raises(ShapeError, match=f"m={m} outputs but {len(terms)} term maps"):
+        RelationSpectrum(n=2, m=m, terms=terms)
+
+
 def test_evaluate_empty_spectrum():
     empty = RelationSpectrum(n=2, m=3, terms=({}, {}, {}))
     np.testing.assert_array_equal(evaluate_spectrum(empty, [0.5, 0.5]), np.zeros(3))
@@ -341,6 +348,18 @@ def test_import_errors_carry_line_numbers():
         import_spectrum(b"e_1,output,coefficient\n1,0,2.0\n-1,0,1.0\n")
     with pytest.raises(SpectrumFormatError, match="line 2"):
         import_spectrum(b"e_1,output,coefficient\nx,0,2.0\n")
+
+
+def test_import_refuses_an_output_index_above_the_guard():
+    # one map is built per index up to the largest, so an unbounded index
+    # would ask for 10^12 of them
+    with pytest.raises(SpectrumFormatError, match="line 2: output index 1000000000000"):
+        import_spectrum(b"e_1,output,coefficient\n1,1000000000000,1.0\n")
+    above = f"e_1,output,coefficient\n1,0,1.0\n1,{MAX_OUTPUT_INDEX + 1},1.0\n"
+    with pytest.raises(SpectrumFormatError, match="line 3"):
+        import_spectrum(above.encode())
+    s = import_spectrum(f"e_1,output,coefficient\n1,{MAX_OUTPUT_INDEX},1.0\n".encode())
+    assert s.m == MAX_OUTPUT_INDEX + 1 and s.terms[-1] == {(1,): 1.0}
 
 
 def test_import_wrong_exponent_column_count():
