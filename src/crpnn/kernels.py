@@ -9,6 +9,12 @@ and returns it; without ``out`` it allocates the result.  ``out`` must not
 overlap an operand, except that the elementwise ``hadamard`` may write over
 either of its operands.
 
+A 2-D product into an ``out`` of at most ``DOT_OUTPUT_BUDGET`` bytes (a
+6x682 block) runs through ``ndarray.dot``, which makes the same BLAS call
+as ``np.matmul`` at half its call cost on narrow operands and gives the same
+bits.  Wider outputs, allocating calls and the stacked ``matmul_nt`` run
+through ``np.matmul``, whose cost grows more slowly with the output.
+
 Each also takes a keyword-only ``counter`` and adds the scalar multiplies
 it ran, the package's only count formulas.  Kernels check nothing: their
 callers pass C-contiguous float64 operands of matching shapes, which the
@@ -18,9 +24,21 @@ forward and backward passes check once per pass.
 import numpy as np
 
 
+# Largest output, in bytes, that a 2-D product with ``out`` writes through
+# ndarray.dot instead of np.matmul.  Both make the same BLAS call and give the
+# same bits, but np.matmul is a gufunc and costs about 0.5 us more per call,
+# while dot's own cost grows faster with the output.  n=5, one thread, 6xK
+# output (scripts/kernel_sweep.py): 0.54 against 1.11 us at K=32, 2.5 against
+# 3.0 us at K=682 (32 KiB), break-even at K=1000-1200, 19.4 against 13.8 us at
+# K=5000.  The budget sits below the break-even, where dot still takes 18% less.
+DOT_OUTPUT_BUDGET = 32 * 1024
+
+
 def matmul(a, b, *, out=None, counter=None):
     if counter is not None:
         counter.add(a.shape[0] * a.shape[1] * b.shape[1])
+    if out is not None and out.nbytes <= DOT_OUTPUT_BUDGET:
+        return a.dot(b, out=out)
     return np.matmul(a, b, out=out)
 
 
@@ -28,6 +46,8 @@ def matmul_nt(a, b, *, out=None, counter=None):
     """a @ b.T, or over stacks of matrices, each of ``a`` times its ``b`` transposed"""
     if counter is not None:
         counter.add(a.size * b.shape[-2])
+    if out is not None and out.ndim == 2 and out.nbytes <= DOT_OUTPUT_BUDGET:
+        return a.dot(b.T, out=out)
     # the method, not np.swapaxes (1 us more per call) nor .mT (numpy >= 2.0)
     return np.matmul(a, b.swapaxes(-1, -2), out=out)
 
@@ -36,6 +56,8 @@ def matmul_tn(a, b, *, out=None, counter=None):
     """a.T @ b"""
     if counter is not None:
         counter.add(a.shape[1] * a.shape[0] * b.shape[1])
+    if out is not None and out.nbytes <= DOT_OUTPUT_BUDGET:
+        return a.T.dot(b, out=out)
     return np.matmul(a.T, b, out=out)
 
 

@@ -34,6 +34,7 @@ from .network import _checked_weights
 
 MAX_DENSE_ENTRIES = 6 * 10 ** 6
 MAX_OUTPUT_INDEX = 10 ** 5  # import builds one map per index up to the largest
+MAX_EXPONENT = 1000  # evaluation builds one K-column power per exponent up to the largest
 CANONICAL_REL_EPS = 1e-14
 SUPPORT_THRESHOLD = 1e-9
 
@@ -51,7 +52,11 @@ class SpectrumFormatError(FormatError):
 
 @dataclass(frozen=True)
 class RelationSpectrum:
-    """Per-output sparse map from exponent tuple to coefficient."""
+    """Per-output sparse map from exponent tuple to coefficient.
+
+    Construction refuses, with ShapeError, an m other than the number of maps
+    and an exponent key whose length is not n.
+    """
 
     n: int
     m: int
@@ -61,6 +66,11 @@ class RelationSpectrum:
         if len(self.terms) != self.m:
             raise ShapeError(
                 f"spectrum has m={self.m} outputs but {len(self.terms)} term maps"
+            )
+        bad = next((e for t in self.terms for e in t if len(e) != self.n), None)
+        if bad is not None:
+            raise ShapeError(
+                f"exponent key {bad} has {len(bad)} entries, not one per input (n={self.n})"
             )
 
     def item_count(self):
@@ -241,8 +251,8 @@ def import_spectrum(data):
 
     The schema carries no output count, so m is inferred as the largest
     output index + 1 (1 for a term-less file); an index above
-    MAX_OUTPUT_INDEX is refused.  Exact-zero coefficients are
-    dropped to keep the canonical form.
+    MAX_OUTPUT_INDEX or an exponent above MAX_EXPONENT is refused.
+    Exact-zero coefficients are dropped to keep the canonical form.
     """
     header, rows = read_csv(data, SpectrumFormatError)
     if len(header) < 3 or header[-2:] != [CSV_OUTPUT_COL, CSV_COEFF_COL]:
@@ -267,6 +277,10 @@ def import_spectrum(data):
             raise SpectrumFormatError(f"non-numeric cell: {exc}", line=lineno) from exc
         if any(e < 0 for e in exps):
             raise SpectrumFormatError(f"negative exponent in {exps}", line=lineno)
+        if any(e > MAX_EXPONENT for e in exps):
+            raise SpectrumFormatError(
+                f"exponent in {exps} exceeds the import guard of {MAX_EXPONENT}", line=lineno
+            )
         if out_idx < 0:
             raise SpectrumFormatError(f"negative output index {out_idx}", line=lineno)
         if out_idx > MAX_OUTPUT_INDEX:

@@ -47,6 +47,50 @@ def test_stacked_matmul_nt_is_the_per_slice_products(slices, rows, cols):
     assert counter.count == slice_counter.count == slices * rows * cols * 6
 
 
+# the widest 6-row output that goes through ndarray.dot, and one column more
+WITHIN_DOT = kernels.DOT_OUTPUT_BUDGET // (8 * 6)
+
+
+@pytest.mark.parametrize("cols", [1, 32, WITHIN_DOT, WITHIN_DOT + 1, 5000])
+@pytest.mark.parametrize("rows", [6, 1])
+def test_2d_products_into_out_equal_np_matmul_bit_for_bit(rows, cols):
+    # the engine's products at n=5: W.A, W^T.D (at rows=1 the (6x1).(1xK)
+    # outer product), D.A^T, and x.x^T on one buffer
+    rng = np.random.default_rng(rows * cols)
+    w = rng.uniform(-1, 1, (rows, 6))
+    act = rng.uniform(-1, 1, (6, cols))
+    err = rng.uniform(-1, 1, (rows, cols))
+    cases = [
+        (kernels.matmul, w, act, np.matmul(w, act), rows * 6 * cols),
+        (kernels.matmul_tn, w, err, np.matmul(w.T, err), rows * 6 * cols),
+        (kernels.matmul_nt, err, act, np.matmul(err, act.T), rows * 6 * cols),
+        (kernels.matmul_nt, act, act, np.matmul(act, act.swapaxes(-1, -2)), 36 * cols),
+    ]
+    for kernel, a, b, expected, mults in cases:
+        out = np.full(expected.shape, np.nan)
+        counter = MultiplyCounter()
+        assert kernel(a, b, out=out, counter=counter) is out
+        np.testing.assert_array_equal(out, expected, strict=True)
+        assert counter.count == mults
+
+
+def test_np_matmul_serves_only_wide_allocating_and_stacked_products(monkeypatch):
+    calls, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
+    w = np.ones((8, 8))
+    cols = kernels.DOT_OUTPUT_BUDGET // 64  # an 8-row output of exactly the budget
+    narrow, wide = np.ones((8, cols)), np.ones((8, cols + 1))
+    kernels.matmul(w, narrow, out=np.empty(narrow.shape))
+    kernels.matmul_tn(w, narrow, out=np.empty(narrow.shape))
+    kernels.matmul_nt(wide, wide, out=np.empty((8, 8)))
+    assert len(calls) == 0
+    kernels.matmul(w, wide, out=np.empty(wide.shape))
+    kernels.matmul_tn(w, wide, out=np.empty(wide.shape))
+    kernels.matmul(w, narrow)
+    kernels.matmul_nt(np.ones((2, 6, 32)), np.ones((2, 6, 32)), out=np.empty((2, 6, 6)))
+    assert len(calls) == 4
+
+
 def test_hadamard_may_write_over_an_operand():
     b = np.arange(12.0).reshape(3, 4)
     gate = b + 1.0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from crpnn.linalg import ShapeError
 from crpnn.network import CRPNN1, CRPNN2, CrpnnModel, NetworkSpec, forward, init_weights
 from crpnn.spectrum import (
     CANONICAL_REL_EPS,
+    MAX_EXPONENT,
     MAX_OUTPUT_INDEX,
     RelationSpectrum,
     SpectrumFormatError,
@@ -257,6 +259,13 @@ def test_spectrum_refuses_an_output_count_its_terms_do_not_have(m, terms):
         RelationSpectrum(n=2, m=m, terms=terms)
 
 
+@pytest.mark.parametrize("terms", [{(1,): 1.0, (2,): 2.0}, {(1, 0): 1.0, (2,): 2.0, (0, 1, 1): 3.0}])
+def test_spectrum_refuses_exponent_keys_of_another_length(terms):
+    # evaluation would raise a bare IndexError and export write short rows
+    with pytest.raises(ShapeError, match=r"exponent key \(\d,\) has 1 entries, not one per input \(n=2\)"):
+        RelationSpectrum(n=2, m=1, terms=(terms,))
+
+
 def test_evaluate_empty_spectrum():
     empty = RelationSpectrum(n=2, m=3, terms=({}, {}, {}))
     np.testing.assert_array_equal(evaluate_spectrum(empty, [0.5, 0.5]), np.zeros(3))
@@ -360,6 +369,20 @@ def test_import_refuses_an_output_index_above_the_guard():
         import_spectrum(above.encode())
     s = import_spectrum(f"e_1,output,coefficient\n1,{MAX_OUTPUT_INDEX},1.0\n".encode())
     assert s.m == MAX_OUTPUT_INDEX + 1 and s.terms[-1] == {(1,): 1.0}
+
+
+def test_import_refuses_an_exponent_above_the_guard():
+    # evaluation builds one power per exponent up to the largest, so an
+    # unbounded exponent would ask for 10^12 K-column arrays
+    start = time.perf_counter()
+    with pytest.raises(SpectrumFormatError, match=r"line 2: exponent in \(1000000000000,\)"):
+        import_spectrum(b"e_1,output,coefficient\n1000000000000,0,1.0\n")
+    assert time.perf_counter() - start < 1.0
+    above = f"e_1,e_2,output,coefficient\n1,0,0,1.0\n0,{MAX_EXPONENT + 1},0,1.0\n"
+    with pytest.raises(SpectrumFormatError, match="line 3"):
+        import_spectrum(above.encode())
+    s = import_spectrum(f"e_1,e_2,output,coefficient\n0,{MAX_EXPONENT},0,1.0\n".encode())
+    assert s.terms == ({(0, MAX_EXPONENT): 1.0},)
 
 
 def test_import_wrong_exponent_column_count():

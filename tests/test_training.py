@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crpnn.datagen import Dataset
+from crpnn.kernels import DOT_OUTPUT_BUDGET
 from crpnn.linalg import ShapeError
 from crpnn.network import CRPNN1, CRPNN2, CrpnnModel, NetworkSpec, init_weights, predict_batch
 from crpnn.spectrum import RelationSpectrum, evaluate_spectrum_cols
@@ -238,9 +239,13 @@ def reference_backward(model, xs, ts):
 
 # wider than the error-block budget at any hidden-layer count: the eager chain
 WIDE = ERROR_BLOCK_BUDGET // 8 + 1
+# widths whose hidden (n+1, B) products fit DOT_OUTPUT_BUDGET at n <= 3,
+# and exceed it at n >= 2
+WITHIN_DOT = DOT_OUTPUT_BUDGET // (8 * 4)
+OVER_DOT = DOT_OUTPUT_BUDGET // (8 * 3) + 1
 
 
-@pytest.mark.parametrize("cols", [1, 32, 37, WIDE])
+@pytest.mark.parametrize("cols", [1, 32, 37, WITHIN_DOT, OVER_DOT, WIDE])
 @pytest.mark.parametrize("sizing", ENGINE_SPECS)
 def test_backward_is_bit_identical_to_allocating_reference(sizing, cols):
     model = init_weights(NetworkSpec.create(*sizing), seed=6)
@@ -450,13 +455,16 @@ def test_train_is_bit_identical_to_the_loop_of_public_calls(sizing, batch_size, 
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
 def test_train_matches_the_loop_of_public_calls_on_both_sides_of_the_size_rule(variant, lr_decay):
     # full-batch passes over the error-block budget run the eager chain,
-    # minibatches of 64 (and the short last batch) the stacked product
+    # minibatches (and the short last batch) the stacked product; hidden
+    # (4, B) products at B=64 and WITHIN_DOT go through ndarray.dot, at
+    # OVER_DOT and full batch through np.matmul
     spec = NetworkSpec.create(variant, 3, 1, 7)
     hidden = len(spec.weight_shapes()) - 1
     samples = ERROR_BLOCK_BUDGET // (8 * hidden * 4) + 3
-    assert 8 * hidden * 4 * 64 <= ERROR_BLOCK_BUDGET < 8 * hidden * 4 * samples
+    assert 8 * hidden * 4 * OVER_DOT <= ERROR_BLOCK_BUDGET < 8 * hidden * 4 * samples
+    assert 8 * 4 * WITHIN_DOT <= DOT_OUTPUT_BUDGET < 8 * 4 * OVER_DOT
     ds = dataset_for(spec, samples, 7)
-    for batch_size in (None, 64):
+    for batch_size in (None, 64, WITHIN_DOT, OVER_DOT):
         config = TrainConfig(learning_rate=0.05, epochs=2, batch_size=batch_size, seed=5, lr_decay=lr_decay)
         assert assert_train_matches_reference(init_weights(spec, seed=3), ds, config) is None
 
