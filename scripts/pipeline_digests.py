@@ -10,10 +10,13 @@ batch, CR-PNN II at order 20, 20 epochs; ``minibatch-l14``: K=2000, batch
 ``crpnn.cli.main`` in-process on the argv sequence of that workload's
 pipeline phase (``gen``, then ``train``, ``eval`` and ``spectrum`` for each
 variant) in a temporary directory, and prints one ``sha256  file`` line per
-output.  Dataset, model, metrics, eval and spectrum files must stay
-byte-identical across engine and training changes, so the output of two
-commits must be equal; to check a commit that lacks this script, copy it
-into that checkout and run it there.
+output.  It then runs a small ``compare`` on the generated ``data.csv``
+(both variants at order 8, two seeds from the workload's, 3 epochs, the
+workload's learning rate and batch size) and prints the digest of its
+table with the wall-time ``seconds`` column removed.  Dataset, model, metrics, eval, spectrum and compare outputs must
+stay byte-identical across engine, training and CLI changes, so the output
+of two commits must be equal; to check a commit that lacks this script,
+copy it into that checkout and run it there.
 
 As ``perfbench/run.py`` does, the package is imported from ``src/`` of the
 checkout this file sits in, and BLAS runs single-threaded.
@@ -30,6 +33,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 1)
 
 
+def _run(cli, name, seed, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"{name} seed {seed}: `{argv[0]}` exited {code}")
+    return out.getvalue()
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def main():
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -42,14 +58,22 @@ def main():
             for seed in SEEDS:
                 with workloads.Run(workload, seed, 0.0, root) as run:
                     for argv in run.argvs:
-                        with contextlib.redirect_stdout(io.StringIO()):
-                            code = cli.main(argv)
-                        if code != 0:
-                            raise SystemExit(f"{name} seed {seed}: `{argv[0]}` exited {code}")
+                        _run(cli, name, seed, argv)
                     for file in sorted(os.listdir(run.tmp)):
                         with open(os.path.join(run.tmp, file), "rb") as fh:
-                            digest = hashlib.sha256(fh.read()).hexdigest()
-                        print(f"{digest}  {name}/seed{seed}/{file}")
+                            print(f"{_sha256(fh.read())}  {name}/seed{seed}/{file}")
+                    # order 8 is the smallest at n=5 where the variants differ (CR-PNN II: c=2)
+                    compare = [
+                        "compare", "--variant", "both", "--orders", "8",
+                        "--seeds", "2", "--seed", str(seed), "--epochs", "3",
+                        "--lr", repr(workloads.LEARNING_RATE),
+                        "--data", os.path.join(run.tmp, "data.csv"),
+                    ]
+                    if workload.batch_size is not None:
+                        compare += ["--batch-size", str(workload.batch_size)]
+                    table = _run(cli, name, seed, compare)
+                    rows = "".join(line.rsplit(",", 1)[0] + "\n" for line in table.splitlines())
+                    print(f"{_sha256(rows.encode())}  {name}/seed{seed}/compare.csv without seconds")
     return 0
 
 

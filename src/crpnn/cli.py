@@ -39,20 +39,6 @@ from .training import TrainConfig, TrainingDivergedError, loss_mse, train
 _RUNTIME_ERRORS = (ValueError, TrainingDivergedError, FloatingPointError, OSError)
 
 
-def _default_seed():
-    raw = os.environ.get("CRPNN_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CRPNN_SEED must be an integer, got {raw!r}") from exc
-
-
-def _resolve_seed(value):
-    return _default_seed() if value is None else value
-
-
 def _parse_orders(tokens):
     """Expand order tokens: plain ints plus inclusive `lo-hi` ranges."""
     orders = []
@@ -79,29 +65,32 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a random polynomial target and a dataset")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed, the base seed of bench and compare (default: CRPNN_SEED or 0)")
+    config = TrainConfig()
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--data", required=True, help="dataset CSV path")
+    fitting.add_argument("--epochs", type=int, default=config.epochs, help="training epochs (default %(default)s)")
+    fitting.add_argument("--lr", type=float, default=config.learning_rate, help="learning rate (default %(default)s)")
+    fitting.add_argument("--batch-size", type=int, default=None, help="minibatch size (default: full batch)")
+    fitting.add_argument("--init-scale", type=float, default=None, help="uniform init half-width (default 1/sqrt(n+1))")
+
+    p = sub.add_parser("gen", parents=[seeded], help="generate a random polynomial target and a dataset")
     p.add_argument("--n", type=int, required=True, help="input dimension")
     p.add_argument("--degree", type=int, required=True, help="max total degree of the target")
     p.add_argument("--items", type=int, required=True, help="number of monomials")
     p.add_argument("--coeff-low", type=float, default=-1.0, help="coefficient range low end (default -1)")
     p.add_argument("--coeff-high", type=float, default=1.0, help="coefficient range high end (default 1)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default: CRPNN_SEED or 0)")
     p.add_argument("--out", required=True, help="target polynomial CSV path")
     p.add_argument("--data-out", default=None, help="also evaluate the target on sampled inputs and write a dataset CSV")
     p.add_argument("--samples", type=int, default=1000, help="dataset sample count (default 1000)")
     p.add_argument("--t-start", type=float, default=0.0, help="trajectory start time (default 0)")
     p.add_argument("--t-end", type=float, default=7.0, help="trajectory end time (default 7)")
 
-    p = sub.add_parser("train", help="train a network on a dataset CSV")
+    p = sub.add_parser("train", parents=[seeded, fitting], help="train a network on a dataset CSV")
     p.add_argument("--variant", choices=VARIANTS, required=True, help="network structure")
     p.add_argument("--order", type=int, required=True, help="network order (max total degree)")
-    p.add_argument("--data", required=True, help="dataset CSV path")
-    p.add_argument("--epochs", type=int, default=2000, help="training epochs (default 2000)")
-    p.add_argument("--lr", type=float, default=0.01, help="learning rate (default 0.01)")
     p.add_argument("--lr-decay", type=float, default=None, help="per-epoch multiplicative decay (default none)")
-    p.add_argument("--batch-size", type=int, default=None, help="minibatch size (default: full batch)")
-    p.add_argument("--init-scale", type=float, default=None, help="uniform init half-width (default 1/sqrt(n+1))")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default: CRPNN_SEED or 0)")
     p.add_argument("--model-out", required=True, help="trained model JSON path")
     p.add_argument("--metrics-out", default=None, help="per-epoch `epoch,mse` CSV path")
 
@@ -114,30 +103,25 @@ def build_parser():
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--out", required=True, help="spectrum CSV path")
 
-    p = sub.add_parser("bench", help="time forward passes and training epochs for both variants")
+    protocol = bench_mod.BenchProtocol()
+    p = sub.add_parser("bench", parents=[seeded], help="time forward passes and training epochs for both variants")
     p.add_argument("--variant", choices=VARIANTS + ("both",), default="both", help="which structures to time (default both)")
-    p.add_argument("--n", type=int, default=5, help="input dimension (default 5)")
-    p.add_argument("--m", type=int, default=1, help="output dimension (default 1)")
-    p.add_argument("--order", type=int, default=14, help="network order (default 14)")
-    p.add_argument("--samples", type=int, default=5000, help="batch columns per pass (default 5000)")
-    p.add_argument("--forward-reps", type=int, default=1000, help="timed forward passes (default 1000)")
-    p.add_argument("--epochs", type=int, default=1000, help="timed training epochs (default 1000)")
-    p.add_argument("--runs", type=int, default=10, help="independent runs (default 10)")
-    p.add_argument("--lr", type=float, default=0.01, help="learning rate for timed epochs (default 0.01)")
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed (default: CRPNN_SEED or 0)")
+    p.add_argument("--n", type=int, default=protocol.n, help="input dimension (default %(default)s)")
+    p.add_argument("--m", type=int, default=protocol.m, help="output dimension (default %(default)s)")
+    p.add_argument("--order", type=int, default=protocol.order, help="network order (default %(default)s)")
+    p.add_argument("--samples", type=int, default=protocol.samples, help="batch columns per pass (default %(default)s)")
+    p.add_argument("--forward-reps", type=int, default=protocol.forward_reps, help="timed forward passes (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=protocol.epochs, help="timed training epochs (default %(default)s)")
+    p.add_argument("--runs", type=int, default=protocol.runs, help="independent runs (default %(default)s)")
+    p.add_argument("--lr", type=float, default=protocol.learning_rate, help="learning rate for timed epochs (default %(default)s)")
     p.add_argument("--out", default=None, help="report JSON path (default: stdout)")
 
-    p = sub.add_parser("compare", help="train both variants over orders and seeds, emit an MSE table")
+    p = sub.add_parser("compare", parents=[seeded, fitting], help="train both variants over orders and seeds, emit an MSE table")
     p.add_argument("--variant", choices=VARIANTS + ("both",), default="both", help="which structures to train (default both)")
     p.add_argument("--orders", nargs="+", required=True, help="orders, e.g. `7 9 14` or `7-14`")
     p.add_argument("--seeds", type=int, default=10, help="seeds per (variant, order) cell (default 10)")
-    p.add_argument("--data", required=True, help="dataset CSV path")
-    p.add_argument("--epochs", type=int, default=2000, help="training epochs per cell (default 2000)")
-    p.add_argument("--lr", type=float, default=0.01, help="learning rate (default 0.01)")
-    p.add_argument("--batch-size", type=int, default=None, help="minibatch size (default: full batch)")
-    p.add_argument("--init-scale", type=float, default=None, help="uniform init half-width (default 1/sqrt(n+1))")
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed (default: CRPNN_SEED or 0)")
     p.add_argument("--out", default=None, help="table CSV path (default: stdout)")
+    p.set_defaults(lr_decay=None)
 
     return parser
 
@@ -189,14 +173,26 @@ def _write_or_print(payload, path):
         raise
 
 
+def _read(path, parse):
+    with open(path, "rb") as fh:
+        return parse(fh.read())
+
+
+def _fit(args, spec, dataset, seed):
+    """Initialise a model of `spec` and train it with the parsed training options."""
+    model = init_weights(spec, seed=seed, scale=args.init_scale)
+    config = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
+                         seed=seed, lr_decay=args.lr_decay)
+    return train(model, dataset, config)
+
+
 def cmd_gen(args):
-    seed = _resolve_seed(args.seed)
     target = gen_random_polynomial(
-        args.n, args.degree, args.items, args.coeff_low, args.coeff_high, seed
+        args.n, args.degree, args.items, args.coeff_low, args.coeff_high, args.seed
     )
     outputs = [(export_spectrum(target), args.out)]
     if args.data_out is not None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         inputs = default_inputs(args.n, args.samples, rng, args.t_start, args.t_end)
         outputs.append((write_dataset_csv(make_dataset(target, inputs)), args.data_out))
     for payload, path in outputs:
@@ -205,19 +201,9 @@ def cmd_gen(args):
 
 
 def cmd_train(args):
-    seed = _resolve_seed(args.seed)
-    with open(args.data, "rb") as fh:
-        dataset = read_dataset_csv(fh.read())
+    dataset = _read(args.data, read_dataset_csv)
     spec = NetworkSpec.create(args.variant, dataset.n, dataset.m, args.order)
-    model = init_weights(spec, seed=seed, scale=args.init_scale)
-    config = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=seed,
-        lr_decay=args.lr_decay,
-    )
-    model, record = train(model, dataset, config)
+    model, record = _fit(args, spec, dataset, args.seed)
     _write_or_print(save_model(model), args.model_out)
     if args.metrics_out is not None:
         rows = enumerate(record.mse_per_epoch)
@@ -227,10 +213,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    with open(args.model, "rb") as fh:
-        model = load_model(fh.read())
-    with open(args.data, "rb") as fh:
-        dataset = read_dataset_csv(fh.read())
+    model = _read(args.model, load_model)
+    dataset = _read(args.data, read_dataset_csv)
     predictions = predict_batch(model, dataset.inputs)
     mse = loss_mse(predictions, dataset.targets)
     if args.out is not None:
@@ -251,8 +235,7 @@ def cmd_eval(args):
 
 
 def cmd_spectrum(args):
-    with open(args.model, "rb") as fh:
-        model = load_model(fh.read())
+    model = _read(args.model, load_model)
     _write_or_print(export_spectrum(expand_to_spectrum(model)), args.out)
     return 0
 
@@ -271,7 +254,7 @@ def cmd_bench(args):
         forward_reps=args.forward_reps,
         epochs=args.epochs,
         runs=args.runs,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         learning_rate=args.lr,
     )
     report = bench_mod.run_bench(protocol)
@@ -280,27 +263,17 @@ def cmd_bench(args):
 
 
 def cmd_compare(args):
-    base_seed = _resolve_seed(args.seed)
     orders = _parse_orders(args.orders)
-    with open(args.data, "rb") as fh:
-        dataset = read_dataset_csv(fh.read())
+    dataset = _read(args.data, read_dataset_csv)
     # every cell is planned before the first one trains, so a bad one fails at once
     specs = [NetworkSpec.create(variant, dataset.n, dataset.m, order)
              for variant in _variant_list(args.variant) for order in orders]
     rows = []
     for spec in specs:
-        for offset in range(args.seeds):
-            seed = base_seed + offset
-            model = init_weights(spec, seed=seed, scale=args.init_scale)
-            config = TrainConfig(
-                learning_rate=args.lr,
-                epochs=args.epochs,
-                batch_size=args.batch_size,
-                seed=seed,
-            )
+        for seed in range(args.seed, args.seed + args.seeds):
             start = time.perf_counter()
             try:
-                final_mse = train(model, dataset, config)[1].final_mse
+                final_mse = _fit(args, spec, dataset, seed)[1].final_mse
             except (TrainingDivergedError, FloatingPointError):
                 final_mse = float("inf")  # a diverged seed stays in the table
             rows.append([spec.variant, spec.order, seed, final_mse, time.perf_counter() - start])
@@ -323,6 +296,12 @@ def execute(args):
     """Run a parsed command; returns the process exit code."""
     try:
         _check_output_paths(args)
+        if "seed" in args and args.seed is None:
+            raw = os.environ.get("CRPNN_SEED", "0")
+            try:
+                args.seed = int(raw)
+            except ValueError:
+                raise ValueError(f"CRPNN_SEED must be an integer, got {raw!r}") from None
         return _COMMANDS[args.command](args)
     except _RUNTIME_ERRORS as exc:
         print(f"crpnn {args.command}: error: {exc}", file=sys.stderr)

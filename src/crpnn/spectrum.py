@@ -120,6 +120,8 @@ def _canonical(row, basis):
     """Sparse map of a dense coefficient row, without zeros and float dust."""
     mags = np.abs(row)
     top = mags.max()
+    if not np.isfinite(top):
+        raise FloatingPointError("expansion overflowed: an output has non-finite coefficients")
     if top == 0.0:
         return {}
     keep = np.flatnonzero((mags >= CANONICAL_REL_EPS * top) & (row != 0.0))
@@ -192,16 +194,17 @@ def evaluate_spectrum_cols(spectrum, xs):
     xs = as_array(xs, 2, "input matrix")
     if xs.shape[0] != spectrum.n:
         raise ShapeError(f"spectrum expects {spectrum.n} input rows, got {xs.shape[0]}")
-    tables = _power_tables(xs, _max_exponents(spectrum))
     ys = np.zeros((spectrum.m, xs.shape[1]))
-    for out_idx, terms in enumerate(spectrum.terms):
-        acc = ys[out_idx]
-        for exps, coef in terms.items():
-            v = None
-            for i, e in enumerate(exps):
-                if e:
-                    v = tables[i][e] if v is None else v * tables[i][e]
-            acc += coef if v is None else coef * v
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _power_tables(xs, _max_exponents(spectrum))
+        for out_idx, terms in enumerate(spectrum.terms):
+            acc = ys[out_idx]
+            for exps, coef in terms.items():
+                v = None
+                for i, e in enumerate(exps):
+                    if e:
+                        v = tables[i][e] if v is None else v * tables[i][e]
+                acc += coef if v is None else coef * v
     return ys
 
 

@@ -86,8 +86,9 @@ def internal_loss(model, inputs, targets):
     """J = (1/(2B)) * sum of squared residuals over the batch."""
     inputs = as_array(inputs, 2)
     targets = as_array(targets, 2)
-    diff = predict_batch(model, inputs) - targets
-    return float((diff * diff).sum() / (2.0 * inputs.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = predict_batch(model, inputs) - targets
+        return float((diff * diff).sum() / (2.0 * inputs.shape[1]))
 
 
 def _check_batch(model, inputs, targets):

@@ -5,13 +5,32 @@ import numpy as np
 import pytest
 
 from crpnn import cli
+from crpnn.bench import BenchProtocol
 from crpnn.cli import main, parse_cli
-from crpnn.datagen import CapacityError, DatasetFormatError, read_dataset_csv
+from crpnn.datagen import (
+    CapacityError,
+    DatasetFormatError,
+    gen_random_polynomial,
+    read_dataset_csv,
+    sample_sine_trajectory,
+)
 from crpnn.linalg import ShapeError
-from crpnn.network import CrpnnModel, ModelFormatError, NetworkSpec, init_weights, save_model
-from crpnn.spectrum import SpectrumFormatError, SpectrumSizeError, import_spectrum
+from crpnn.network import (
+    CrpnnModel,
+    ModelFormatError,
+    NetworkSpec,
+    init_weights,
+    load_model,
+    save_model,
+)
+from crpnn.spectrum import (
+    SpectrumFormatError,
+    SpectrumSizeError,
+    export_spectrum,
+    import_spectrum,
+)
 from crpnn.topology import TopologyError
-from crpnn.training import TrainConfig, TrainingDivergedError, train
+from crpnn.training import TrainConfig, TrainingDivergedError, TrainRecord, train
 
 
 def test_parse_gen():
@@ -186,6 +205,15 @@ def test_spectrum_of_saved_toy_model(tmp_path):
     assert parsed.terms == ({(0,): 1.0, (5,): 1.0},)
 
 
+def test_spectrum_of_an_overflowing_model_exits_1_and_writes_nothing(tmp_path, capsys):
+    model = init_weights(NetworkSpec.crpnn1(2, 1, 10), seed=0)
+    path = tmp_path / "big.json"
+    path.write_bytes(save_model(CrpnnModel(model.spec, [w * 1e40 for w in model.weights])))
+    assert main(["spectrum", "--model", str(path), "--out", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err.startswith("crpnn spectrum: error: expansion overflowed")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
 def test_pipeline_outputs_are_deterministic(tmp_path):
     blobs = []
     for tag in ("a", "b"):
@@ -355,12 +383,14 @@ def test_eval_multi_output_schema(tmp_path, capsys):
 
 
 def test_help_exits_zero(capsys):
-    for argv in (["--help"], ["train", "--help"], ["bench", "--help"]):
+    for command in ([], ["gen"], ["train"], ["eval"], ["spectrum"], ["bench"], ["compare"]):
         with pytest.raises(SystemExit) as err:
-            parse_cli(argv)
+            parse_cli(command + ["--help"])
         assert err.value.code == 0
-    out = capsys.readouterr().out
-    assert "--seed" in out and "default" in out
+        out = capsys.readouterr().out
+        assert out.startswith(" ".join(["usage: crpnn", *command]))
+        seeded = command in (["gen"], ["train"], ["bench"], ["compare"])
+        assert ("--seed" in out) == seeded and ("default" in out) == seeded
 
 
 def test_env_seed_default(tmp_path, monkeypatch):
@@ -382,6 +412,126 @@ def test_explicit_seed_beats_env(tmp_path, monkeypatch):
     monkeypatch.delenv("CRPNN_SEED")
     main(["gen", "--n", "2", "--degree", "3", "--items", "5", "--seed", "4", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "bench", "compare"])
+def test_a_non_integer_env_seed_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys, command):
+    data = tmp_path / "d.csv"
+    main(["gen", "--n", "2", "--degree", "3", "--items", "4", "--seed", "1",
+          "--out", str(tmp_path / "t.csv"), "--data-out", str(data), "--samples", "20"])
+    out = str(tmp_path / "out")
+    argv = {
+        "gen": ["gen", "--n", "2", "--degree", "3", "--items", "4", "--out", out],
+        "train": ["train", "--variant", "crpnn1", "--order", "2", "--data", str(data),
+                  "--epochs", "2", "--model-out", out],
+        "bench": ["bench", "--n", "2", "--order", "4", "--samples", "20", "--forward-reps", "1",
+                  "--epochs", "1", "--runs", "1", "--out", out],
+        "compare": ["compare", "--variant", "crpnn1", "--orders", "2", "--seeds", "1",
+                    "--data", str(data), "--epochs", "2", "--out", out],
+    }[command]
+    monkeypatch.setenv("CRPNN_SEED", "1.5")
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"crpnn {command}: error: CRPNN_SEED must be an integer, got '1.5'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "t.csv"]
+    # an explicit seed never reads the variable
+    assert main(argv + ["--seed", "3"]) == 0
+
+
+def test_a_command_without_a_seed_ignores_the_env_seed(tmp_path, monkeypatch, capsys):
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    data.write_text("x1,y1\n0.5,1.0\n-0.5,0.0\n")
+    model.write_bytes(save_model(init_weights(NetworkSpec.crpnn1(1, 1, 2), seed=0)))
+    monkeypatch.setenv("CRPNN_SEED", "not a number")
+    assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
+    assert main(["spectrum", "--model", str(model), "--out", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_gen_coefficient_range_and_trajectory_window_reach_the_outputs(tmp_path):
+    target, data = tmp_path / "t.csv", tmp_path / "d.csv"
+    assert main(["gen", "--n", "5", "--degree", "3", "--items", "40", "--seed", "2",
+                 "--coeff-low", "0.25", "--coeff-high", "0.5", "--t-start", "-1.5",
+                 "--t-end", "2", "--samples", "30", "--out", str(target),
+                 "--data-out", str(data)]) == 0
+    coefficients = list(import_spectrum(target.read_bytes()).terms[0].values())
+    assert len(coefficients) == 40
+    assert all(0.25 <= c <= 0.5 for c in coefficients)
+    assert target.read_bytes() == export_spectrum(gen_random_polynomial(5, 3, 40, 0.25, 0.5, 2))
+    np.testing.assert_array_equal(
+        read_dataset_csv(data.read_bytes()).inputs, sample_sine_trajectory(30, -1.5, 2.0)
+    )
+
+
+def test_init_scale_reaches_train_and_compare(tmp_path, capsys):
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    main(["gen", "--n", "2", "--degree", "3", "--items", "5", "--seed", "4",
+          "--out", str(tmp_path / "t.csv"), "--data-out", str(data), "--samples", "30"])
+    assert main(["train", "--variant", "crpnn2", "--order", "5", "--data", str(data),
+                 "--epochs", "0", "--init-scale", "0.3", "--seed", "6",
+                 "--model-out", str(model)]) == 0
+    expected = init_weights(NetworkSpec.crpnn2(2, 1, 5), seed=6, scale=0.3)
+    trained = load_model(model.read_bytes())
+    for got, want in zip(trained.weights, expected.weights, strict=True):
+        np.testing.assert_array_equal(got, want)
+    table = tmp_path / "table.csv"
+    assert main(["compare", "--variant", "crpnn2", "--orders", "5", "--seeds", "1",
+                 "--seed", "6", "--epochs", "3", "--init-scale", "0.3",
+                 "--data", str(data), "--out", str(table)]) == 0
+    dataset = read_dataset_csv(data.read_bytes())
+    _, record = train(expected, dataset, TrainConfig(epochs=3, seed=6))
+    assert table.read_text().split("\n")[1].split(",")[3] == repr(record.final_mse)
+
+
+def test_compare_rows_match_the_final_mse_train_prints(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    main(["gen", "--n", "2", "--degree", "3", "--items", "5", "--seed", "8",
+          "--out", str(tmp_path / "t.csv"), "--data-out", str(data), "--samples", "40"])
+    options = ["--data", str(data), "--epochs", "6", "--lr", "0.05", "--batch-size", "16",
+               "--init-scale", "0.4"]
+    table = tmp_path / "table.csv"
+    assert main(["compare", "--variant", "crpnn1", "--orders", "3", "--seeds", "2",
+                 "--seed", "5", "--out", str(table)] + options) == 0
+    rows = [line.split(",") for line in table.read_text().strip().split("\n")[1:]]
+    assert [row[:3] for row in rows] == [["crpnn1", "3", "5"], ["crpnn1", "3", "6"]]
+    capsys.readouterr()
+    for _, _, seed, final_mse, _ in rows:
+        assert main(["train", "--variant", "crpnn1", "--order", "3", "--seed", seed,
+                     "--model-out", str(tmp_path / "m.json")] + options) == 0
+        assert capsys.readouterr().out == f"final_mse={final_mse}\n"
+
+
+def test_bench_defaults_are_the_protocols(monkeypatch, capsys):
+    monkeypatch.delenv("CRPNN_SEED", raising=False)
+    built = []
+
+    def run_bench(protocol):
+        built.append(protocol)
+        raise ValueError("stop before timing")
+
+    monkeypatch.setattr(cli.bench_mod, "run_bench", run_bench)
+    assert main(["bench"]) == 1
+    assert built == [BenchProtocol()]
+
+
+def test_train_and_compare_defaults_are_the_train_configs(tmp_path, monkeypatch):
+    monkeypatch.delenv("CRPNN_SEED", raising=False)
+    data = tmp_path / "d.csv"
+    data.write_text("x1,y1\n0.5,1.0\n-0.5,0.0\n")
+    configs = []
+
+    def record_config(model, dataset, config):
+        configs.append(config)
+        return model, TrainRecord(final_mse=0.0)
+
+    monkeypatch.setattr(cli, "train", record_config)
+    assert main(["train", "--variant", "crpnn1", "--order", "2", "--data", str(data),
+                 "--model-out", str(tmp_path / "m.json")]) == 0
+    assert main(["compare", "--variant", "crpnn1", "--orders", "2", "--seeds", "1",
+                 "--data", str(data), "--out", str(tmp_path / "table.csv")]) == 0
+    assert configs == [TrainConfig(), TrainConfig()]
 
 
 @pytest.mark.parametrize(

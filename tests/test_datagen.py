@@ -192,6 +192,13 @@ def test_make_dataset_dimension_mismatch():
         make_dataset(target, np.zeros((2, 4)))
 
 
+def test_make_dataset_refuses_an_overflowing_target_without_a_warning():
+    # 3**1000 overflows; the pytest config turns a leaked RuntimeWarning into an error
+    target = RelationSpectrum(1, 1, ({(1000,): 1.0},))
+    with pytest.raises(ValueError, match="non-finite entries"):
+        make_dataset(target, np.array([[3.0]]))
+
+
 def test_dataset_reproducible():
     target = gen_random_polynomial(5, 6, 100, seed=11)
     a = make_dataset(target, sample_sine_trajectory(64))

@@ -9,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crpnn.linalg import ShapeError
-from crpnn.network import CRPNN1, CRPNN2, CrpnnModel, NetworkSpec, forward, init_weights
+from crpnn.network import (
+    CRPNN1,
+    CRPNN2,
+    CrpnnModel,
+    NetworkSpec,
+    forward,
+    init_weights,
+    load_model,
+    predict_batch,
+    save_model,
+)
 from crpnn.spectrum import (
     CANONICAL_REL_EPS,
     MAX_EXPONENT,
@@ -171,6 +181,14 @@ def test_zero_weights_expand_to_empty_spectrum():
     spectrum = expand_to_spectrum(model)
     assert spectrum.terms == ({},)
     assert spectrum.item_count() == 0
+
+
+def test_an_expansion_that_overflows_raises_instead_of_dropping_terms():
+    model = init_weights(NetworkSpec.crpnn1(2, 1, 10), seed=0)
+    big = load_model(save_model(CrpnnModel(model.spec, [w * 1e40 for w in model.weights])))
+    assert np.isnan(predict_batch(big, np.full((2, 3), 0.5))).all()
+    with pytest.raises(FloatingPointError, match="expansion overflowed"):
+        expand_to_spectrum(big)
 
 
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])

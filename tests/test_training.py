@@ -136,6 +136,13 @@ def test_mse_is_twice_internal_loss_at_full_batch():
     assert abs(mse - 2.0 * internal_loss(model, xs, ys)) < 1e-15
 
 
+def test_internal_loss_overflows_to_inf_without_a_warning():
+    # finite predictions near 1e200 whose squares overflow
+    spec = NetworkSpec.crpnn1(1, 1, 2)
+    model = CrpnnModel(spec, [np.full(shape, 1e100) for shape in spec.weight_shapes()])
+    assert internal_loss(model, [[0.5, -0.25]], [[0.0, 0.0]]) == np.inf
+
+
 def quadratic_dataset(seed=42, samples=200):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1, 1, size=(2, samples))
