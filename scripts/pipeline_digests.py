@@ -13,10 +13,14 @@ variant) in a temporary directory, and prints one ``sha256  file`` line per
 output.  It then runs a small ``compare`` on the generated ``data.csv``
 (both variants at order 8, two seeds from the workload's, 3 epochs, the
 workload's learning rate and batch size) and prints the digest of its
-table with the wall-time ``seconds`` column removed.  Dataset, model, metrics, eval, spectrum and compare outputs must
-stay byte-identical across engine, training and CLI changes, so the output
-of two commits must be equal; to check a commit that lacks this script,
-copy it into that checkout and run it there.
+table with the wall-time ``seconds`` column removed.  Last, for each seed it
+runs a small ``bench`` (``BENCH_ARGV``) and prints the digest of its JSON
+report with the four ``*_seconds_*`` fields removed, which leaves the
+protocol and the analytic and instrumented multiply counts.  Dataset, model,
+metrics, eval, spectrum, compare and bench outputs must stay byte-identical
+across engine, training and CLI changes, so the output of two commits must
+be equal; to check a commit that lacks this script, copy it into that
+checkout and run it there.
 
 As ``perfbench/run.py`` does, the package is imported from ``src/`` of the
 checkout this file sits in, and BLAS runs single-threaded.
@@ -25,12 +29,15 @@ checkout this file sits in, and BLAS runs single-threaded.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 1)
+BENCH_ARGV = ["bench", "--n", "2", "--order", "4", "--samples", "50",
+              "--forward-reps", "2", "--epochs", "2", "--runs", "2"]
 
 
 def _run(cli, name, seed, argv):
@@ -74,6 +81,11 @@ def main():
                     table = _run(cli, name, seed, compare)
                     rows = "".join(line.rsplit(",", 1)[0] + "\n" for line in table.splitlines())
                     print(f"{_sha256(rows.encode())}  {name}/seed{seed}/compare.csv without seconds")
+    for seed in SEEDS:
+        report = json.loads(_run(cli, "bench", seed, BENCH_ARGV + ["--seed", str(seed)]))
+        report["results"] = [{k: v for k, v in result.items() if "_seconds_" not in k}
+                             for result in report["results"]]
+        print(f"{_sha256(json.dumps(report, indent=2).encode())}  bench/seed{seed}/report.json without seconds")
     return 0
 
 

@@ -3,17 +3,17 @@
 Every dense product in the package (forward passes, backprop, benchmarks)
 bottoms out in one of the five kernels below.  ``matmul_nt`` also takes
 stacks of matrices, (s, r, k) by (s, c, k), and runs the s products in one
-call; each slice equals the 2-D product bit for bit.  Each takes an optional
-keyword-only ``out`` array of the result's shape, writes the result there
-and returns it; without ``out`` it allocates the result.  ``out`` must not
-overlap an operand, except that the elementwise ``hadamard`` may write over
-either of its operands.
+call; each slice equals the 2-D product bit for bit.  Each takes a required
+keyword-only ``out`` array of the result's shape, owned by the caller,
+writes the result there and returns it: no kernel allocates its result.
+``out`` must not overlap an operand, except that the elementwise
+``hadamard`` may write over either of its operands.
 
 A 2-D product into an ``out`` of at most ``DOT_OUTPUT_BUDGET`` bytes (a
 6x682 block) runs through ``ndarray.dot``, which makes the same BLAS call
 as ``np.matmul`` at half its call cost on narrow operands and gives the same
-bits.  Wider outputs, allocating calls and the stacked ``matmul_nt`` run
-through ``np.matmul``, whose cost grows more slowly with the output.
+bits.  Wider outputs and the stacked ``matmul_nt`` run through
+``np.matmul``, whose cost grows more slowly with the output.
 
 Each also takes a keyword-only ``counter`` and adds the scalar multiplies
 it ran, the package's only count formulas.  Kernels check nothing: their
@@ -24,7 +24,7 @@ forward and backward passes check once per pass.
 import numpy as np
 
 
-# Largest output, in bytes, that a 2-D product with ``out`` writes through
+# Largest output, in bytes, that a 2-D product writes through
 # ndarray.dot instead of np.matmul.  Both make the same BLAS call and give the
 # same bits, but np.matmul is a gufunc and costs about 0.5 us more per call,
 # while dot's own cost grows faster with the output.  n=5, one thread, 6xK
@@ -34,47 +34,44 @@ import numpy as np
 DOT_OUTPUT_BUDGET = 32 * 1024
 
 
-def matmul(a, b, *, out=None, counter=None):
+def matmul(a, b, *, out, counter=None):
     if counter is not None:
         counter.add(a.shape[0] * a.shape[1] * b.shape[1])
-    if out is not None and out.nbytes <= DOT_OUTPUT_BUDGET:
+    if out.nbytes <= DOT_OUTPUT_BUDGET:
         return a.dot(b, out=out)
     return np.matmul(a, b, out=out)
 
 
-def matmul_nt(a, b, *, out=None, counter=None):
+def matmul_nt(a, b, *, out, counter=None):
     """a @ b.T, or over stacks of matrices, each of ``a`` times its ``b`` transposed"""
     if counter is not None:
         counter.add(a.size * b.shape[-2])
-    if out is not None and out.ndim == 2 and out.nbytes <= DOT_OUTPUT_BUDGET:
+    if out.ndim == 2 and out.nbytes <= DOT_OUTPUT_BUDGET:
         return a.dot(b.T, out=out)
     # the method, not np.swapaxes (1 us more per call) nor .mT (numpy >= 2.0)
     return np.matmul(a, b.swapaxes(-1, -2), out=out)
 
 
-def matmul_tn(a, b, *, out=None, counter=None):
+def matmul_tn(a, b, *, out, counter=None):
     """a.T @ b"""
     if counter is not None:
         counter.add(a.shape[1] * a.shape[0] * b.shape[1])
-    if out is not None and out.nbytes <= DOT_OUTPUT_BUDGET:
+    if out.nbytes <= DOT_OUTPUT_BUDGET:
         return a.T.dot(b, out=out)
     return np.matmul(a.T, b, out=out)
 
 
-def hadamard(a, b, *, out=None, counter=None):
+def hadamard(a, b, *, out, counter=None):
     if counter is not None:
         counter.add(a.size)
     return np.multiply(a, b, out=out)
 
 
-def power(x, c, *, out=None, counter=None):
+def power(x, c, *, out, counter=None):
     # c-1 successive elementwise products, never pow()
     if counter is not None:
         counter.add((c - 1) * x.size)
-    if out is None:
-        out = x.copy()
-    else:
-        np.copyto(out, x)
+    np.copyto(out, x)
     for _ in range(c - 1):
         np.multiply(out, x, out=out)
     return out

@@ -20,6 +20,7 @@ and writes that back into the model's own arrays when it returns or raises.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,10 +119,11 @@ def _validate_weights(spec, weights):
 def init_weights(spec, seed, scale=None):
     """Draw every weight uniformly from (-r, r), r = scale or 1/sqrt(n+1).
 
-    Deterministic for a given (spec, seed, scale).
+    Deterministic for a given (spec, seed, scale).  A scale must be positive
+    and leave the width 2r finite.
     """
-    if scale is not None and scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if scale is not None and not (scale > 0 and math.isfinite(2.0 * float(scale))):
+        raise ValueError(f"scale must be positive with 2 * scale finite, got {scale}")
     r = scale if scale is not None else 1.0 / np.sqrt(spec.n + 1)
     rng = np.random.default_rng(seed)
     weights = [rng.uniform(-r, r, size=shape) for shape in spec.weight_shapes()]

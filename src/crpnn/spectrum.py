@@ -73,13 +73,6 @@ class RelationSpectrum:
                 f"exponent key {bad} has {len(bad)} entries, not one per input (n={self.n})"
             )
 
-    def item_count(self):
-        return sum(len(t) for t in self.terms)
-
-    def max_total_degree(self):
-        degrees = [sum(e) for t in self.terms for e in t]
-        return max(degrees) if degrees else 0
-
     def coefficient(self, output, exponents):
         return self.terms[output].get(tuple(exponents), 0.0)
 

@@ -21,9 +21,6 @@ class TopologyError(ValueError):
 class TopologyPlan:
     """Derived sizing record for a CR-PNN II network of a given order."""
 
-    n: int             # input dimension
-    m: int             # output dimension
-    order: int         # L: max total degree of the computed polynomial
     taylor_layers: int # l
     power: int         # c: elementwise power applied by the expanded layer
     total_layers: int  # weighted layers, l + 2
@@ -45,14 +42,7 @@ def plan_topology(n, m, order):
         )
     taylor = max(n, (order - 2) // 2)
     power = order - taylor - 1
-    return TopologyPlan(
-        n=n,
-        m=m,
-        order=order,
-        taylor_layers=taylor,
-        power=power,
-        total_layers=taylor + 2,
-    )
+    return TopologyPlan(taylor_layers=taylor, power=power, total_layers=taylor + 2)
 
 
 def _mult_count(n, m, order, power):

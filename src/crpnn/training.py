@@ -33,6 +33,8 @@ from .network import _checked_weights, _fill_inputs, _layers, predict_batch
 
 DIVERGENCE_CEILING = 1e12
 GRAD_CHECK_MAX_PARAMS = 2000
+GRAD_CHECK_STEP = 1e-6  # finite-difference step, relative to max(1, |w|)
+GRAD_CHECK_FLOOR = 1e-5  # smallest denominator of a per-entry gap
 
 
 class TrainingDivergedError(RuntimeError):
@@ -333,13 +335,15 @@ def train(model, dataset, config):
     return model, record
 
 
-def grad_check(model, inputs, targets, step_scale=1e-6, rel_floor=1e-5):
+def grad_check(model, inputs, targets):
     """Worst relative gap between backward() and central finite differences.
 
     The per-entry gap is |analytic - numeric| / max(|analytic|, |numeric|,
-    rel_floor); the floor makes the comparison an absolute one of
-    rel_floor^2-ish size near zero, where relative error is meaningless.
-    Guarded to small models to keep the 2-forward-passes-per-weight cost sane.
+    GRAD_CHECK_FLOOR); the floor makes the comparison an absolute one of
+    GRAD_CHECK_FLOOR^2-ish size near zero, where relative error is
+    meaningless.  A non-finite gap, as when the loss overflows at a
+    perturbed weight, returns inf.  Guarded to small models to keep the
+    2-forward-passes-per-weight cost sane.
     """
     if model.parameter_count() > GRAD_CHECK_MAX_PARAMS:
         raise ValueError(
@@ -352,7 +356,7 @@ def grad_check(model, inputs, targets, step_scale=1e-6, rel_floor=1e-5):
     worst = 0.0
     for w, g in zip(model.weights, analytic):
         for idx in np.ndindex(w.shape):
-            h = step_scale * max(1.0, abs(w[idx]))
+            h = GRAD_CHECK_STEP * max(1.0, abs(w[idx]))
             orig = w[idx]
             w[idx] = orig + h
             plus = internal_loss(model, inputs, targets)
@@ -360,7 +364,9 @@ def grad_check(model, inputs, targets, step_scale=1e-6, rel_floor=1e-5):
             minus = internal_loss(model, inputs, targets)
             w[idx] = orig
             numeric = (plus - minus) / (2.0 * h)
-            gap = abs(g[idx] - numeric) / max(abs(g[idx]), abs(numeric), rel_floor)
+            gap = abs(g[idx] - numeric) / max(abs(g[idx]), abs(numeric), GRAD_CHECK_FLOOR)
+            if not math.isfinite(gap):
+                return math.inf
             if gap > worst:
                 worst = gap
     return worst

@@ -157,6 +157,24 @@ def test_train_topology_error_exits_1(tmp_path, capsys):
     assert "n+2" in err
 
 
+def _argv_writing_out(tmp_path, command):
+    """Generate d.csv and t.csv in tmp_path; return argv for a small `command`
+    whose outputs would land beside them."""
+    data = tmp_path / "d.csv"
+    main(["gen", "--n", "2", "--degree", "3", "--items", "4", "--seed", "1",
+          "--out", str(tmp_path / "t.csv"), "--data-out", str(data), "--samples", "20"])
+    out = str(tmp_path / "out")
+    return {
+        "train": ["train", "--variant", "crpnn1", "--order", "3", "--data", str(data),
+                  "--epochs", "3", "--model-out", out,
+                  "--metrics-out", str(tmp_path / "metrics.csv")],
+        "compare": ["compare", "--variant", "crpnn1", "--orders", "3", "--seeds", "1",
+                    "--data", str(data), "--epochs", "3", "--out", out],
+        "bench": ["bench", "--n", "2", "--order", "4", "--samples", "20", "--forward-reps", "1",
+                  "--epochs", "1", "--runs", "1", "--out", out],
+    }[command]
+
+
 @pytest.mark.parametrize(
     "command, flag, name",
     [
@@ -168,22 +186,21 @@ def test_train_topology_error_exits_1(tmp_path, capsys):
 )
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_non_finite_rate_exits_1_before_any_output(tmp_path, capsys, command, flag, name, rate):
-    data = tmp_path / "d.csv"
-    main(["gen", "--n", "2", "--degree", "3", "--items", "4", "--seed", "1",
-          "--out", str(tmp_path / "t.csv"), "--data-out", str(data), "--samples", "20"])
-    out = str(tmp_path / "out")
-    argv = {
-        "train": ["train", "--variant", "crpnn1", "--order", "3", "--data", str(data),
-                  "--epochs", "3", "--model-out", out,
-                  "--metrics-out", str(tmp_path / "metrics.csv")],
-        "compare": ["compare", "--variant", "crpnn1", "--orders", "3", "--seeds", "1",
-                    "--data", str(data), "--epochs", "3", "--out", out],
-        "bench": ["bench", "--n", "2", "--order", "4", "--samples", "20", "--forward-reps", "1",
-                  "--epochs", "1", "--runs", "1", "--out", out],
-    }[command]
+    argv = _argv_writing_out(tmp_path, command)
     capsys.readouterr()
     assert main(argv + [flag, rate]) == 1
     assert f"error: {name} must be a positive finite number, got {rate}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "t.csv"]
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "1e308"])
+def test_an_init_scale_without_a_finite_width_exits_1_and_writes_nothing(tmp_path, capsys, command, scale):
+    argv = _argv_writing_out(tmp_path, command)
+    capsys.readouterr()
+    assert main(argv + ["--init-scale", scale]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"crpnn {command}: error: scale must be positive with 2 * scale finite")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "t.csv"]
 
 

@@ -15,11 +15,6 @@ def test_backend_name_is_known():
 def test_numpy_kernels_basics():
     a = np.arange(6.0).reshape(2, 3)
     b = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_array_equal(kernels.matmul(a, b), a @ b)
-    np.testing.assert_array_equal(kernels.matmul_nt(a, a), a @ a.T)
-    np.testing.assert_array_equal(kernels.matmul_tn(a, a), a.T @ a)
-    np.testing.assert_array_equal(kernels.hadamard(b, b), b * b)
-    np.testing.assert_array_equal(kernels.power(b, 3), b ** 3)
     cases = [
         (kernels.matmul, (a, b), a @ b),
         (kernels.matmul_nt, (a, a), a @ a.T),
@@ -33,6 +28,20 @@ def test_numpy_kernels_basics():
         np.testing.assert_array_equal(out, expected)
 
 
+@pytest.mark.parametrize("kernel, args", [
+    (kernels.matmul, (np.ones((2, 3)), np.ones((3, 4)))),
+    (kernels.matmul_nt, (np.ones((2, 3)), np.ones((2, 3)))),
+    (kernels.matmul_tn, (np.ones((2, 3)), np.ones((2, 3)))),
+    (kernels.hadamard, (np.ones(3), np.ones(3))),
+    (kernels.power, (np.ones(3), 2)),
+])
+def test_a_kernel_without_a_buffer_is_a_type_error(kernel, args):
+    with pytest.raises(TypeError, match="out"):
+        kernel(*args)
+    with pytest.raises(TypeError, match="out"):
+        kernel(*args, counter=MultiplyCounter())
+
+
 @pytest.mark.parametrize("slices, rows, cols", [(1, 6, 32), (12, 6, 32), (3, 4, 5000), (5, 1, 7)])
 def test_stacked_matmul_nt_is_the_per_slice_products(slices, rows, cols):
     rng = np.random.default_rng(slices)
@@ -42,7 +51,7 @@ def test_stacked_matmul_nt_is_the_per_slice_products(slices, rows, cols):
     out = np.full((slices, rows, 6), np.nan)
     assert kernels.matmul_nt(a, b, out=out, counter=counter) is out
     for i in range(slices):
-        expected = kernels.matmul_nt(a[i], b[i], counter=slice_counter)
+        expected = kernels.matmul_nt(a[i], b[i], out=np.empty((rows, 6)), counter=slice_counter)
         np.testing.assert_array_equal(out[i], expected, strict=True)
     assert counter.count == slice_counter.count == slices * rows * cols * 6
 
@@ -74,7 +83,7 @@ def test_2d_products_into_out_equal_np_matmul_bit_for_bit(rows, cols):
         assert counter.count == mults
 
 
-def test_np_matmul_serves_only_wide_allocating_and_stacked_products(monkeypatch):
+def test_np_matmul_serves_only_wide_and_stacked_products(monkeypatch):
     calls, matmul = [], np.matmul
     monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
     w = np.ones((8, 8))
@@ -86,9 +95,8 @@ def test_np_matmul_serves_only_wide_allocating_and_stacked_products(monkeypatch)
     assert len(calls) == 0
     kernels.matmul(w, wide, out=np.empty(wide.shape))
     kernels.matmul_tn(w, wide, out=np.empty(wide.shape))
-    kernels.matmul(w, narrow)
     kernels.matmul_nt(np.ones((2, 6, 32)), np.ones((2, 6, 32)), out=np.empty((2, 6, 6)))
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_hadamard_may_write_over_an_operand():
@@ -102,12 +110,12 @@ def test_hadamard_may_write_over_an_operand():
 def test_power_one_is_identity():
     v = np.array([1.5, -0.25])
     counter = MultiplyCounter()
-    np.testing.assert_array_equal(kernels.power(v, 1, counter=counter), v)
+    np.testing.assert_array_equal(kernels.power(v, 1, out=np.empty(2), counter=counter), v)
     assert counter.count == 0
 
 
 def test_power_bias_coordinate_fixed_point():
-    out = kernels.power(np.array([3.0, 1.0]), 5)
+    out = kernels.power(np.array([3.0, 1.0]), 5, out=np.empty(2))
     assert out[1] == 1.0
     assert out[0] == 243.0
 
@@ -116,14 +124,15 @@ def test_power_addition_law():
     rng = np.random.default_rng(2)
     v = rng.uniform(0.5, 1.5, size=8)
     for a, b in [(1, 1), (2, 3), (4, 2)]:
-        combined = kernels.power(v, a + b)
-        split = kernels.hadamard(kernels.power(v, a), kernels.power(v, b))
+        combined = kernels.power(v, a + b, out=np.empty(8))
+        split = kernels.hadamard(kernels.power(v, a, out=np.empty(8)),
+                                 kernels.power(v, b, out=np.empty(8)), out=np.empty(8))
         assert np.abs(combined - split).max() / np.abs(combined).max() < 1e-12
 
 
 def test_counters_are_independent():
     c1, c2 = MultiplyCounter(), MultiplyCounter()
-    kernels.matmul(np.ones((2, 2)), np.ones((2, 2)), counter=c1)
+    kernels.matmul(np.ones((2, 2)), np.ones((2, 2)), out=np.empty((2, 2)), counter=c1)
     assert c1.count == 8 and c2.count == 0
 
 
@@ -141,17 +150,17 @@ def test_kernel_counts_match_the_benchmark_formulas():
     b = rng.uniform(-1, 1, (4, 5))
     c = rng.uniform(-1, 1, (5, 4))
     cases = {
-        "matmul": (a, b),
-        "matmul_nt": (a, c),
-        "matmul_tn": (b, b),
-        "hadamard": (b, c.T.copy()),
-        "power": (b, 4),
+        "matmul": ((a, b), (3, 5)),
+        "matmul_nt": ((a, c), (3, 5)),
+        "matmul_tn": ((b, b), (5, 5)),
+        "hadamard": ((b, c.T.copy()), (4, 5)),
+        "power": ((b, 4), (4, 5)),
     }
     formulas = _perfbench_kernel_mults()
     assert set(formulas) == set(cases)
-    for name, args in cases.items():
+    for name, (args, shape) in cases.items():
         kernel = getattr(kernels, name)
         counter = MultiplyCounter()
-        counted = kernel(*args, counter=counter)
+        counted = kernel(*args, out=np.empty(shape), counter=counter)
         assert counter.count == formulas[name](*args) > 0
-        np.testing.assert_array_equal(counted, kernel(*args))
+        np.testing.assert_array_equal(counted, kernel(*args, out=np.empty(shape)))

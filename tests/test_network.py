@@ -88,6 +88,12 @@ def test_init_weights_within_range_and_seed_sensitive():
     assert all(np.abs(w).max() < 0.01 for w in c.weights)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf"), 1e308])
+def test_init_weights_refuses_a_scale_without_a_finite_positive_width(scale):
+    with pytest.raises(ValueError, match="scale must be positive"):
+        init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=0, scale=scale)
+
+
 def test_predict_batch_matches_forward_per_column():
     rng = np.random.default_rng(5)
     model = init_weights(NetworkSpec.crpnn2(3, 2, 7), seed=4)

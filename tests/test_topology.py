@@ -31,7 +31,7 @@ def test_plan_topology_known_cases(n, m, order, taylor, power, layers):
     assert plan.taylor_layers == taylor
     assert plan.power == power
     assert plan.total_layers == layers
-    assert plan.order == plan.taylor_layers + plan.power + 1
+    assert order == plan.taylor_layers + plan.power + 1
 
 
 def test_plan_topology_rejects_low_orders():
@@ -72,7 +72,7 @@ def test_plan_invariants_hold_on_grid():
             plan = plan_topology(n, 3, order)
             assert plan.taylor_layers >= n
             assert 1 <= plan.power <= plan.taylor_layers + 2
-            assert plan.order == plan.taylor_layers + plan.power + 1
+            assert order == plan.taylor_layers + plan.power + 1
             assert plan.total_layers == plan.taylor_layers + 2
 
 

@@ -106,6 +106,13 @@ def test_grad_check_zero_error_regime():
     assert grad_check(model, xs, xs.copy()) < 1e-5
 
 
+def test_grad_check_reports_inf_when_its_finite_differences_overflow():
+    # both perturbed losses overflow to inf, so the numeric gradient is nan
+    spec = NetworkSpec.crpnn1(1, 1, 2)
+    model = CrpnnModel(spec, [np.full(s, 1e100) for s in spec.weight_shapes()])
+    assert grad_check(model, np.array([[0.5, -0.25]]), np.zeros((1, 2))) == float("inf")
+
+
 def test_grad_check_guards_large_models():
     model = init_weights(NetworkSpec.crpnn1(9, 1, 40), seed=0)
     with pytest.raises(ValueError, match="parameters"):
