@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/pipeline_digests.py
+    python3 scripts/pipeline_digests.py [--against DIR]
 
 For each workload of ``perfbench/workloads.py`` (``paper-l14``: K=5000, full
 batch, CR-PNN II at order 20, 20 epochs; ``minibatch-l14``: K=2000, batch
@@ -19,22 +19,30 @@ report with the four ``*_seconds_*`` fields removed, which leaves the
 protocol and the analytic and instrumented multiply counts.  Dataset, model,
 metrics, eval, spectrum, compare and bench outputs must stay byte-identical
 across engine, training and CLI changes, so the output of two commits must
-be equal; to check a commit that lacks this script, copy it into that
-checkout and run it there.
+be equal.
 
 As ``perfbench/run.py`` does, the package is imported from ``src/`` of the
-checkout this file sits in, and BLAS runs single-threaded.
+checkout this file sits in, and BLAS runs single-threaded.  With
+``--against DIR`` the digests are taken twice, each in a fresh interpreter:
+once of this checkout's ``src/`` and once of ``DIR/src/``, both driven by
+this checkout's ``perfbench/workloads.py``.  The lines that differ are
+printed as a unified diff (``DIR``'s lines first), and the exit status is 1
+if any differ.
 """
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 SEEDS = (0, 1)
 BENCH_ARGV = ["bench", "--n", "2", "--order", "4", "--samples", "50",
               "--forward-reps", "2", "--epochs", "2", "--runs", "2"]
@@ -53,10 +61,11 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def main():
+def digest(src):
+    """Print the digest lines of the package imported from the directory ``src``."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
     from crpnn import cli
     import workloads
 
@@ -86,6 +95,35 @@ def main():
         report["results"] = [{k: v for k, v in result.items() if "_seconds_" not in k}
                              for result in report["results"]]
         print(f"{_sha256(json.dumps(report, indent=2).encode())}  bench/seed{seed}/report.json without seconds")
+
+
+def _digest_lines(src):
+    """The digest lines of the package in ``src``, taken in a fresh interpreter."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import pipeline_digests; pipeline_digests.digest(sys.argv[2])"
+    proc = subprocess.run([sys.executable, "-c", code, HERE, src], stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"digests of {src} failed with exit status {proc.returncode}")
+    return proc.stdout.splitlines()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Digest every output of the benchmark's CLI pipelines.")
+    parser.add_argument("--against", metavar="DIR",
+                        help="compare with the digests of the checkout DIR, e.g. the parent commit's")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        digest(os.path.join(ROOT, "src"))
+        return 0
+    theirs_src = os.path.join(os.path.abspath(args.against), "src")
+    if not os.path.isdir(os.path.join(theirs_src, "crpnn")):
+        parser.error(f"{args.against} has no src/crpnn package")
+    theirs, ours = _digest_lines(theirs_src), _digest_lines(os.path.join(ROOT, "src"))
+    diff = list(difflib.unified_diff(theirs, ours, args.against, ROOT, lineterm="", n=0))
+    for line in diff:
+        print(line)
+    if diff:
+        return 1
+    print(f"all {len(ours)} digest lines equal")
     return 0
 
 

@@ -108,7 +108,7 @@ def run_bench(protocol):
             run_seed = protocol.seed + run
             rng = np.random.default_rng(run_seed)
             model = init_weights(spec, seed=run_seed)
-            inputs = np.ascontiguousarray(default_inputs(protocol.n, protocol.samples, rng))
+            inputs = default_inputs(protocol.n, protocol.samples, rng)
             targets = rng.uniform(-1.0, 1.0, size=(protocol.m, protocol.samples))
 
             # untimed warm-up forward doubles as the instrumented count audit

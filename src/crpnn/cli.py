@@ -131,14 +131,37 @@ def parse_cli(argv):
     return build_parser().parse_args(argv)
 
 
+_INPUT_OPTIONS = ("data", "model")
 _OUTPUT_OPTIONS = ("out", "data_out", "model_out", "metrics_out")
 
 
+def _file_key(path):
+    """What identifies the file at ``path``: its device and inode when it
+    exists, None when it exists and is not a regular file (written in place,
+    so it may repeat), else its resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
 def _check_output_paths(args):
-    """Refuse an output option given as the empty string, before any work."""
-    for name in _OUTPUT_OPTIONS:
-        if getattr(args, name, None) == "":
-            raise ValueError(f"--{name.replace('_', '-')} must name a file, got an empty path")
+    """Refuse, before any work, an output option given as the empty string or
+    naming the same file as another output or an input of the command."""
+    seen = {}
+    for name in _INPUT_OPTIONS + _OUTPUT_OPTIONS:
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        option, output = f"--{name.replace('_', '-')}", name in _OUTPUT_OPTIONS
+        if output and path == "":
+            raise ValueError(f"{option} must name a file, got an empty path")
+        key = _file_key(path)
+        if output and key in seen:
+            raise ValueError(f"{option} and {seen[key]} name the same file {path!r}")
+        if key is not None:
+            seen.setdefault(key, option)
 
 
 def _write_or_print(payload, path):
@@ -263,6 +286,8 @@ def cmd_bench(args):
 
 
 def cmd_compare(args):
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     orders = _parse_orders(args.orders)
     dataset = _read(args.data, read_dataset_csv)
     # every cell is planned before the first one trains, so a bad one fails at once

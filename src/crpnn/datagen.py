@@ -73,14 +73,19 @@ def gen_random_polynomial(n, max_degree, n_items, coeff_low=-1.0, coeff_high=1.0
     in which evaluation sums them, so it fixes every dataset's bits).
 
     Monomials are drawn uniformly without replacement from the full universe,
-    coefficients uniformly from [coeff_low, coeff_high]; the whole draw is
-    redone (advancing the seeded generator) until some sampled item has the
-    full requested degree and every coefficient is nonzero, so the advertised
-    item count and max degree always hold.  Deterministic per seed.
+    coefficients uniformly from [coeff_low, coeff_high], whose bounds and
+    width must be finite; the whole draw is redone (advancing the seeded
+    generator) until some sampled item has the full requested degree and
+    every coefficient is nonzero, so the advertised item count and max
+    degree always hold.  Deterministic per seed.
     """
     if n < 1 or max_degree < 0 or n_items < 1:
         raise ValueError(
             f"invalid request: n={n}, max_degree={max_degree}, n_items={n_items}"
+        )
+    if not math.isfinite(coeff_high - coeff_low):  # also when either bound is nan or infinite
+        raise ValueError(
+            f"coefficient bounds must be finite with a finite width, got [{coeff_low}, {coeff_high}]"
         )
     if coeff_low > coeff_high or (coeff_low == 0.0 and coeff_high == 0.0):
         raise ValueError(f"bad coefficient range [{coeff_low}, {coeff_high}]")

@@ -130,21 +130,6 @@ def init_weights(spec, seed, scale=None):
     return CrpnnModel(spec, weights)
 
 
-def _forward_cols(model, xcols, counter=None):
-    """Batched forward pass; samples are columns of ``xcols`` (n x K).
-
-    X~ and the layers' two ping-pong slots share one block allocated per
-    call; X~^c for c > 1 sits in slot 1 until layer 1 overwrites it.
-    """
-    spec = model.spec
-    if xcols.shape[0] != spec.n:
-        raise ShapeError(f"model expects {spec.n} input rows, got {xcols.shape[0]}")
-    weights = _checked_weights(spec, model.weights)
-    xa, *slots = np.empty((3, spec.n + 1, xcols.shape[1]))
-    xc = _fill_inputs(spec, xcols, xa, slots[1], counter)
-    return _layers(weights, xa, xc, slots, np.empty((spec.m, xcols.shape[1])), counter)
-
-
 def _fill_inputs(spec, xcols, xa, xc, counter=None):
     """Write X~ (the columns of ``xcols`` over a row of ones) into ``xa`` and
     return X~^c, c = ``spec.power``: written into ``xc`` for c > 1, while
@@ -176,16 +161,30 @@ def _layers(weights, xa, xc, slots, y, counter=None):
 
 def forward(model, x, counter=None):
     """Single-sample forward pass; returns the m-dimensional output vector."""
-    x = as_array(x, 1, "input vector")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_cols(model, x.reshape(-1, 1), counter).ravel()
+    return predict_batch(model, as_array(x, 1, "input vector").reshape(-1, 1), counter).ravel()
 
 
 def predict_batch(model, xs, counter=None):
-    """Forward pass over an n x K matrix of column samples; returns m x K."""
+    """Forward pass over an n x K matrix of column samples; returns m x K.
+
+    X~ and the layers' two ping-pong slots share one block allocated per
+    call; X~^c for c > 1 sits in slot 1 until layer 1 overwrites it.
+    """
+    spec = model.spec
     xs = as_array(xs, 2, "input matrix")
+    if xs.shape[0] != spec.n:
+        raise ShapeError(f"model expects {spec.n} input rows, got {xs.shape[0]}")
+    weights = _checked_weights(spec, model.weights)
+    xa, *slots = np.empty((3, spec.n + 1, xs.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_cols(model, xs, counter)
+        xc = _fill_inputs(spec, xs, xa, slots[1], counter)
+        return _layers(weights, xa, xc, slots, np.empty((spec.m, xs.shape[1])), counter)
+
+
+def _plan_fields(spec):
+    """The model document's record of a spec's plan: nulls for CR-PNN I."""
+    plan = spec.plan
+    return {"taylor_layers": plan.taylor_layers if plan else None, "power": plan.power if plan else None}
 
 
 def save_model(model):
@@ -197,8 +196,7 @@ def save_model(model):
         "n": spec.n,
         "m": spec.m,
         "order": spec.order,
-        "taylor_layers": spec.plan.taylor_layers if spec.plan else None,
-        "power": spec.plan.power if spec.plan else None,
+        **_plan_fields(spec),
         "weights": [
             {
                 "rows": int(w.shape[0]),
@@ -241,14 +239,13 @@ def load_model(data):
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
 
-    if spec.plan is not None:
-        declared = (doc.get("taylor_layers"), doc.get("power"))
-        planned = (spec.plan.taylor_layers, spec.plan.power)
-        if declared != planned:
-            raise ModelFormatError(
-                f"declared (taylor_layers, power) {declared} does not match the "
-                f"plan {planned} for n={n}, order={order}"
-            )
+    planned = _plan_fields(spec)
+    declared = {key: doc.get(key) for key in planned}
+    if json.dumps(declared) != json.dumps(planned):  # as text: true == 1 and 3.0 == 3
+        raise ModelFormatError(
+            f"declared (taylor_layers, power) {tuple(declared.values())} does not match "
+            f"the plan {tuple(planned.values())} for {variant} n={n}, order={order}"
+        )
     if not isinstance(raw_weights, list):
         raise ModelFormatError("'weights' must be a list")
 
@@ -272,10 +269,9 @@ def load_model(data):
                 f"weight matrix {idx} has non-numeric data: entry {bad} is {flat[bad]!r}"
             )
         try:
-            w = np.asarray(flat, dtype=np.float64).reshape(rows, cols)
+            weights.append(np.asarray(flat, dtype=np.float64).reshape(rows, cols))
         except OverflowError as exc:  # an integer too large for a float
             raise ModelFormatError(f"weight matrix {idx} has non-numeric data: {exc}") from exc
-        weights.append(np.ascontiguousarray(w))
 
     _validate_weights(spec, weights)
     return CrpnnModel(spec, weights)

@@ -176,10 +176,7 @@ def _max_exponents(spectrum):
 
 def evaluate_spectrum(spectrum, x):
     """Evaluate the polynomial at a single point; returns the m-vector."""
-    x = as_array(x, 1, "input vector")
-    if x.shape[0] != spectrum.n:
-        raise ShapeError(f"spectrum expects dim {spectrum.n}, got {x.shape[0]}")
-    return evaluate_spectrum_cols(spectrum, x.reshape(-1, 1)).ravel()
+    return evaluate_spectrum_cols(spectrum, as_array(x, 1, "input vector").reshape(-1, 1)).ravel()
 
 
 def evaluate_spectrum_cols(spectrum, xs):

@@ -86,14 +86,17 @@ def loss_mse(predictions, targets):
 
 def internal_loss(model, inputs, targets):
     """J = (1/(2B)) * sum of squared residuals over the batch."""
-    inputs = as_array(inputs, 2)
     targets = as_array(targets, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         diff = predict_batch(model, inputs) - targets
-        return float((diff * diff).sum() / (2.0 * inputs.shape[1]))
+        return float((diff * diff).sum() / (2.0 * diff.shape[1]))
 
 
 def _check_batch(model, inputs, targets):
+    """The batch as C-contiguous float64 (n x B inputs, m x B targets), refused
+    with ShapeError unless it is non-empty and sized for the model."""
+    inputs = as_array(inputs, 2, "batch inputs")
+    targets = as_array(targets, 2, "batch targets")
     spec = model.spec
     if inputs.shape[1] == 0:
         raise ShapeError("batch is empty")
@@ -105,6 +108,7 @@ def _check_batch(model, inputs, targets):
         raise ShapeError(
             f"batch has {inputs.shape[1]} input columns but {targets.shape[1]} target columns"
         )
+    return inputs, targets
 
 
 def backward(model, inputs, targets):
@@ -118,9 +122,7 @@ def backward(model, inputs, targets):
     cache, and a wide one (K=5000 at n=5) nothing more.
     Overflow raises FloatingPointError, not a warning.
     """
-    inputs = as_array(inputs, 2, "batch inputs")
-    targets = as_array(targets, 2, "batch targets")
-    _check_batch(model, inputs, targets)
+    inputs, targets = _check_batch(model, inputs, targets)
     spec = model.spec
     weights = _checked_weights(spec, model.weights)
     hidden, width, cols = len(weights) - 1, spec.n + 1, inputs.shape[1]
@@ -256,9 +258,7 @@ def train(model, dataset, config):
     The weights are written back into the model's own arrays, in their own
     dtype and layout, when the call returns or raises.
     """
-    inputs = as_array(dataset.inputs, 2, "dataset inputs")
-    targets = as_array(dataset.targets, 2, "dataset targets")
-    _check_batch(model, inputs, targets)
+    inputs, targets = _check_batch(model, dataset.inputs, dataset.targets)
     spec = model.spec
     checked = _checked_weights(spec, model.weights)
     if not all(isinstance(w, np.ndarray) and w.flags.writeable and w.dtype.kind in "fc"
@@ -350,8 +350,7 @@ def grad_check(model, inputs, targets):
             f"grad_check is limited to {GRAD_CHECK_MAX_PARAMS} parameters, "
             f"model has {model.parameter_count()}"
         )
-    inputs = as_array(inputs, 2)
-    targets = as_array(targets, 2)
+    inputs, targets = _check_batch(model, inputs, targets)
     analytic = backward(model, inputs, targets)
     worst = 0.0
     for w, g in zip(model.weights, analytic):

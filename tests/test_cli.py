@@ -204,6 +204,70 @@ def test_an_init_scale_without_a_finite_width_exits_1_and_writes_nothing(tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "t.csv"]
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [["--coeff-low=nan"], ["--coeff-low=-inf"], ["--coeff-high=inf"], ["--coeff-high=nan"],
+     ["--coeff-low=-1e308", "--coeff-high=1e308"]],
+)
+def test_gen_with_a_coefficient_range_without_a_finite_width_exits_1_and_writes_nothing(tmp_path, capsys, bounds):
+    assert main(["gen", "--n", "2", "--degree", "2", "--items", "3", "--out", str(tmp_path / "t.csv"),
+                 "--data-out", str(tmp_path / "d.csv"), *bounds]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("crpnn gen: error: coefficient bounds must be finite with a finite width")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_compare_refuses_fewer_than_one_seed_before_reading_or_writing(tmp_path, monkeypatch, capsys, seeds):
+    # the dataset does not exist, so only a check made before reading it can win
+    monkeypatch.chdir(tmp_path)
+    assert main(["compare", "--orders", "2", "--data", "d.csv", "--seeds", seeds, "--out", "c.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"crpnn compare: error: --seeds must be at least 1, got {seeds}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+_GEN = ["gen", "--n", "2", "--degree", "2", "--items", "3"]
+_TRAIN = ["train", "--variant", "crpnn1", "--order", "2", "--data", "d.csv", "--epochs", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, later, earlier",
+    [
+        (_GEN + ["--out", "f.csv", "--data-out", "f.csv"], "--data-out", "--out"),
+        (_GEN + ["--out", "./f.csv", "--data-out", "f.csv"], "--data-out", "--out"),
+        (_TRAIN + ["--model-out", "n.json", "--metrics-out", "n.json"], "--metrics-out", "--model-out"),
+        (_TRAIN + ["--model-out", "d.csv"], "--model-out", "--data"),
+        (_TRAIN + ["--model-out", "link.csv"], "--model-out", "--data"),
+        (["eval", "--model", "m.json", "--data", "d.csv", "--out", "m.json"], "--out", "--model"),
+        (["spectrum", "--model", "m.json", "--out", "m.json"], "--out", "--model"),
+        (["compare", "--orders", "2", "--data", "d.csv", "--out", "d.csv"], "--out", "--data"),
+    ],
+    ids=["gen-outputs", "gen-outputs-spelled-apart", "train-outputs", "train-output-data",
+         "train-output-linked-data", "eval-output-model", "spectrum-output-model", "compare-output-data"],
+)
+def test_an_output_naming_another_path_of_its_command_exits_1_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, later, earlier):
+    monkeypatch.chdir(tmp_path)
+    main(_GEN + ["--out", "t.csv", "--data-out", "d.csv", "--samples", "20"])
+    main(_TRAIN + ["--model-out", "m.json"])
+    os.symlink("d.csv", "link.csv")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"crpnn {argv[0]}: error: {later} and {earlier} name the same file")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_outputs_may_repeat_a_device_written_in_place(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(_GEN + ["--out", os.devnull, "--data-out", os.devnull]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     rc = main(["eval", "--model", str(tmp_path / "nope.json"), "--data", str(tmp_path / "d.csv")])
     assert rc == 1

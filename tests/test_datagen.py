@@ -87,6 +87,14 @@ def test_generator_coefficient_range():
     assert all(0.5 <= v <= 2.0 for v in values)
 
 
+@pytest.mark.parametrize(
+    "low, high", [(np.nan, 1.0), (-np.inf, 1.0), (-1.0, np.inf), (-1.0, np.nan), (-1e308, 1e308)]
+)
+def test_generator_refuses_a_coefficient_range_without_a_finite_width(low, high):
+    with pytest.raises(ValueError, match="coefficient bounds must be finite with a finite width"):
+        gen_random_polynomial(2, 2, 3, coeff_low=low, coeff_high=high, seed=0)
+
+
 def test_sine_trajectory_against_direct_formulas():
     xs = sample_sine_trajectory(137, 0.0, 7.0)
     t = np.linspace(0.0, 7.0, 137)

@@ -233,6 +233,26 @@ def test_load_rejects_inconsistent_plan():
         load_model(blob.replace('"power": 3', '"power": 2').encode())
 
 
+@pytest.mark.parametrize(
+    "variant, field, value",
+    [(CRPNN1, "power", 7), (CRPNN1, "taylor_layers", 0), (CRPNN1, "power", 1),
+     (CRPNN2, "power", 3.0)],
+)
+def test_load_rejects_plan_fields_that_save_would_not_write_back(variant, field, value):
+    spec = NetworkSpec.create(variant, 2, 1, 6)  # CR-PNN II: 2 Taylor layers, power 3
+    doc = json.loads(save_model(init_weights(spec, seed=0)))
+    doc[field] = value
+    with pytest.raises(ModelFormatError, match="does not match the plan"):
+        load_model(json.dumps(doc).encode())
+
+
+def test_a_crpnn1_document_without_plan_fields_loads():
+    blob = save_model(init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=0))
+    doc = json.loads(blob)
+    del doc["taylor_layers"], doc["power"]
+    assert save_model(load_model(json.dumps(doc).encode())) == blob
+
+
 @pytest.mark.parametrize("data", [["1.5", True], [1.5, True], [None, 2.0], [1.0, [2.0]]])
 def test_load_rejects_weight_entries_that_are_not_json_numbers(data):
     doc = json.loads(save_model(init_weights(NetworkSpec.crpnn1(1, 1, 1), seed=0)))
