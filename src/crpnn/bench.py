@@ -66,8 +66,6 @@ class VariantResult:
 class BenchReport:
     protocol: BenchProtocol
     results: list = field(default_factory=list)
-    kernel_backend: str = ""
-    note: str = COUNT_NOTE
 
     def result_for(self, variant):
         for r in self.results:
@@ -76,13 +74,7 @@ class BenchReport:
         raise KeyError(variant)
 
     def to_json(self):
-        doc = {
-            "protocol": asdict(self.protocol),
-            "results": [asdict(r) for r in self.results],
-            "kernel_backend": self.kernel_backend,
-            "note": self.note,
-        }
-        doc["protocol"]["variants"] = list(self.protocol.variants)
+        doc = {**asdict(self), "kernel_backend": kernels.backend_name(), "note": COUNT_NOTE}
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
@@ -95,7 +87,7 @@ def _stats(values):
 
 def run_bench(protocol):
     """Execute the timing protocol and return a BenchReport."""
-    report = BenchReport(protocol=protocol, kernel_backend=kernels.backend_name())
+    report = BenchReport(protocol=protocol)
     for variant in protocol.variants:
         spec = NetworkSpec.create(variant, protocol.n, protocol.m, protocol.order)
         per_sample = _mult_count(spec.n, spec.m, spec.order, spec.power)

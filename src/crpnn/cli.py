@@ -25,6 +25,7 @@ from .datagen import (
     write_dataset_csv,
 )
 from .network import (
+    MAX_ORDER,
     VARIANTS,
     NetworkSpec,
     init_weights,
@@ -40,20 +41,22 @@ _RUNTIME_ERRORS = (ValueError, TrainingDivergedError, FloatingPointError, OSErro
 
 
 def _parse_orders(tokens):
-    """Expand order tokens: plain ints plus inclusive `lo-hi` ranges."""
+    """Expand order tokens: plain ints plus inclusive `lo-hi` ranges, each
+    refused before it is expanded if it reaches above MAX_ORDER."""
     orders = []
     for token in tokens:
         lo, sep, hi = token.partition("-")
+        if not (sep and lo and hi):
+            lo = hi = token
         try:
-            if sep and lo and hi:
-                lo_i, hi_i = int(lo), int(hi)
-                if hi_i < lo_i:
-                    raise ValueError
-                orders.extend(range(lo_i, hi_i + 1))
-            else:
-                orders.append(int(token))
+            lo_i, hi_i = int(lo), int(hi)
         except ValueError:
             raise ValueError(f"bad order token {token!r}") from None
+        if hi_i < lo_i:
+            raise ValueError(f"bad order token {token!r}")
+        if hi_i > MAX_ORDER:
+            raise ValueError(f"order token {token!r} exceeds MAX_ORDER ({MAX_ORDER})")
+        orders.extend(range(lo_i, hi_i + 1))
     return orders
 
 

@@ -83,7 +83,11 @@ def gen_random_polynomial(n, max_degree, n_items, coeff_low=-1.0, coeff_high=1.0
         raise ValueError(
             f"invalid request: n={n}, max_degree={max_degree}, n_items={n_items}"
         )
-    if not math.isfinite(coeff_high - coeff_low):  # also when either bound is nan or infinite
+    try:
+        finite = math.isfinite(coeff_high - coeff_low)  # also false when a bound is nan or infinite
+    except OverflowError:  # an integer bound beyond float range
+        finite = False
+    if not finite:
         raise ValueError(
             f"coefficient bounds must be finite with a finite width, got [{coeff_low}, {coeff_high}]"
         )
@@ -117,21 +121,26 @@ def gen_random_polynomial(n, max_degree, n_items, coeff_low=-1.0, coeff_high=1.0
 
 
 def sample_sine_trajectory(n_samples, t_start=0.0, t_end=7.0):
-    """Five-sine excitation on a uniform time grid, endpoints included (5 x K)."""
+    """Five-sine excitation on a uniform time grid, endpoints included (5 x K);
+    a range whose grid or sines are not finite is refused."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     if not t_end > t_start:
         raise ValueError(f"need t_end > t_start, got [{t_start}, {t_end}]")
-    t = np.linspace(t_start, t_end, n_samples)
-    return np.stack(
-        [
-            np.sin(2.0 * t),
-            np.sin(3.0 * t),
-            np.sin(5.0 * t),
-            np.sin(7.0 * t + 20.0),
-            np.sin(11.0 * t),
-        ]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.linspace(t_start, t_end, n_samples)
+        trajectory = np.stack(
+            [
+                np.sin(2.0 * t),
+                np.sin(3.0 * t),
+                np.sin(5.0 * t),
+                np.sin(7.0 * t + 20.0),
+                np.sin(11.0 * t),
+            ]
+        )
+    if not np.isfinite(trajectory).all():
+        raise ValueError(f"time range [{t_start}, {t_end}] gives a non-finite trajectory")
+    return trajectory
 
 
 def default_inputs(n, samples, rng, t_start=0.0, t_end=7.0):

@@ -21,7 +21,7 @@ and writes that back into the model's own arrays when it returns or raises.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .topology import TopologyPlan, plan_topology
 CRPNN1 = "crpnn1"
 CRPNN2 = "crpnn2"
 VARIANTS = (CRPNN1, CRPNN2)
+MAX_ORDER = 1000  # the paper's orders are at most 40; spectrum.MAX_EXPONENT is this bound
 
 
 class ModelFormatError(ValueError):
@@ -40,13 +41,24 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Variant tag plus sizing; ``plan`` is populated for CR-PNN II only."""
+    """Variant tag plus sizing, checked on construction, which also derives
+    ``plan``: the CR-PNN II ``TopologyPlan``, None for CR-PNN I."""
 
     variant: str
     n: int
     m: int
     order: int
-    plan: TopologyPlan | None = None
+    plan: TopologyPlan | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        if self.variant == CRPNN2:
+            object.__setattr__(self, "plan", plan_topology(self.n, self.m, self.order))
+        elif self.n < 1 or self.m < 1 or self.order < 1:
+            raise ValueError(f"invalid CR-PNN I sizing n={self.n}, m={self.m}, order={self.order}")
+        if self.order > MAX_ORDER:
+            raise ValueError(f"order {self.order} exceeds MAX_ORDER ({MAX_ORDER})")
 
     @property
     def power(self):
@@ -55,21 +67,15 @@ class NetworkSpec:
 
     @classmethod
     def crpnn1(cls, n, m, order):
-        if n < 1 or m < 1 or order < 1:
-            raise ValueError(f"invalid CR-PNN I sizing n={n}, m={m}, order={order}")
-        return cls(CRPNN1, n, m, order, None)
+        return cls(CRPNN1, n, m, order)
 
     @classmethod
     def crpnn2(cls, n, m, order):
-        return cls(CRPNN2, n, m, order, plan_topology(n, m, order))
+        return cls(CRPNN2, n, m, order)
 
     @classmethod
     def create(cls, variant, n, m, order):
-        if variant == CRPNN1:
-            return cls.crpnn1(n, m, order)
-        if variant == CRPNN2:
-            return cls.crpnn2(n, m, order)
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        return cls(variant, n, m, order)
 
     def weight_shapes(self):
         """Expected weight-matrix shapes, input side first, output matrix last."""
@@ -94,13 +100,13 @@ class CrpnnModel:
 def _checked_weights(spec, weights):
     """The weights as C-contiguous float64, shape-checked: once per pass."""
     weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
-    count = spec.order - spec.power + 1  # before weight_shapes: a corrupt order may be huge
-    if len(weights) != count:
+    shapes = spec.weight_shapes()
+    if len(weights) != len(shapes):
         raise ShapeError(
-            f"expected {count} weight matrices for {spec.variant} "
+            f"expected {len(shapes)} weight matrices for {spec.variant} "
             f"(n={spec.n}, order={spec.order}), got {len(weights)}"
         )
-    for idx, (w, shape) in enumerate(zip(weights, spec.weight_shapes())):
+    for idx, (w, shape) in enumerate(zip(weights, shapes)):
         if w.shape != shape:
             raise ShapeError(f"weight matrix {idx} has shape {w.shape}, expected {shape}")
     return weights

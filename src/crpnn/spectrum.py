@@ -30,11 +30,11 @@ import numpy as np
 
 from .csvio import FormatError, read_csv, write_csv
 from .linalg import ShapeError, as_array
-from .network import _checked_weights
+from .network import MAX_ORDER, _checked_weights
 
 MAX_DENSE_ENTRIES = 6 * 10 ** 6
 MAX_OUTPUT_INDEX = 10 ** 5  # import builds one map per index up to the largest
-MAX_EXPONENT = 1000  # evaluation builds one K-column power per exponent up to the largest
+MAX_EXPONENT = MAX_ORDER  # no model exports more; evaluation builds one K-column power per exponent up to the largest
 CANONICAL_REL_EPS = 1e-14
 SUPPORT_THRESHOLD = 1e-9
 

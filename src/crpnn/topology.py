@@ -23,7 +23,10 @@ class TopologyPlan:
 
     taylor_layers: int # l
     power: int         # c: elementwise power applied by the expanded layer
-    total_layers: int  # weighted layers, l + 2
+
+    @property
+    def total_layers(self):  # weighted layers, l + 2
+        return self.taylor_layers + 2
 
 
 def plan_topology(n, m, order):
@@ -42,7 +45,7 @@ def plan_topology(n, m, order):
         )
     taylor = max(n, (order - 2) // 2)
     power = order - taylor - 1
-    return TopologyPlan(taylor_layers=taylor, power=power, total_layers=taylor + 2)
+    return TopologyPlan(taylor_layers=taylor, power=power)
 
 
 def _mult_count(n, m, order, power):

@@ -84,14 +84,6 @@ def loss_mse(predictions, targets):
         return float(np.mean(diff * diff))
 
 
-def internal_loss(model, inputs, targets):
-    """J = (1/(2B)) * sum of squared residuals over the batch."""
-    targets = as_array(targets, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = predict_batch(model, inputs) - targets
-        return float((diff * diff).sum() / (2.0 * diff.shape[1]))
-
-
 def _check_batch(model, inputs, targets):
     """The batch as C-contiguous float64 (n x B inputs, m x B targets), refused
     with ShapeError unless it is non-empty and sized for the model."""
@@ -151,12 +143,15 @@ def _packed(spec, hidden, empty):
 # A narrow pass writes its hidden errors into a (hidden, n+1, B) block of
 # their own and forms every hidden dW after the chain, in two products; a
 # wide one forms each dW as soon as its error exists.  Full-batch train step
-# on one thread at n=5, order 14, stacked time / eager time (block size):
-#   CR-PNN I, 13 hidden:  0.79 at B=32 (20 KiB), 0.92 at 512 (312 KiB),
-#     0.96 at 896 (546 KiB), 1.01 at 1024 (624 KiB), 1.15 at 2000, 1.2-1.4 at 5000
-#   CR-PNN II, 7 hidden:  0.88 at B=32 (10 KiB), 0.98 at 1024 (336 KiB),
-#     1.04 at 1700 (558 KiB), 1.11 at 2000 (656 KiB), 1.25 at 5000
-# Break-even lies at a block of 500-620 KiB, with 2 MiB of L2 per core.
+# on one thread at n=5, order 14, median stacked time / eager time over 60
+# alternating pairs (block size), with 2-D products through ndarray.dot:
+#   CR-PNN I, 13 hidden:  0.89 at B=32 (20 KiB), 0.99 at 512 (312 KiB),
+#     0.98 at 768 (468 KiB), 1.01 at 896 (546 KiB), 1.04 at 1024 (624 KiB),
+#     1.27 at 2000, 1.34 at 5000
+#   CR-PNN II, 7 hidden:  0.93 at B=32 (10 KiB), 0.97 at 512 (168 KiB),
+#     0.985 at 1024 (336 KiB), 1.02 at 1700 (558 KiB), 1.06 at 2000, 1.17 at 5000
+# Break-even lies at a block of 470-550 KiB (I) and 340-560 KiB (II), with
+# 2 MiB of L2 per core.
 ERROR_BLOCK_BUDGET = 512 * 1024  # bytes
 
 
@@ -336,7 +331,8 @@ def train(model, dataset, config):
 
 
 def grad_check(model, inputs, targets):
-    """Worst relative gap between backward() and central finite differences.
+    """Worst relative gap between backward() and central finite differences
+    of the internal loss, taken as J = m * loss_mse(predictions, targets) / 2.
 
     The per-entry gap is |analytic - numeric| / max(|analytic|, |numeric|,
     GRAD_CHECK_FLOOR); the floor makes the comparison an absolute one of
@@ -350,17 +346,20 @@ def grad_check(model, inputs, targets):
             f"grad_check is limited to {GRAD_CHECK_MAX_PARAMS} parameters, "
             f"model has {model.parameter_count()}"
         )
-    inputs, targets = _check_batch(model, inputs, targets)
     analytic = backward(model, inputs, targets)
+
+    def loss():
+        return model.spec.m / 2.0 * loss_mse(predict_batch(model, inputs), targets)
+
     worst = 0.0
     for w, g in zip(model.weights, analytic):
         for idx in np.ndindex(w.shape):
             h = GRAD_CHECK_STEP * max(1.0, abs(w[idx]))
             orig = w[idx]
             w[idx] = orig + h
-            plus = internal_loss(model, inputs, targets)
+            plus = loss()
             w[idx] = orig - h
-            minus = internal_loss(model, inputs, targets)
+            minus = loss()
             w[idx] = orig
             numeric = (plus - minus) / (2.0 * h)
             gap = abs(g[idx] - numeric) / max(abs(g[idx]), abs(numeric), GRAD_CHECK_FLOOR)

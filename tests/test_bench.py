@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from crpnn.bench import BenchProtocol, run_bench
+from crpnn.bench import COUNT_NOTE, BenchProtocol, BenchReport, run_bench
+from crpnn.kernels import backend_name
 from crpnn.topology import TopologyError, mult_count_crpnn1, mult_count_crpnn2
 
 
@@ -42,6 +43,17 @@ def test_report_json_fields():
     assert {r["variant"] for r in doc["results"]} == {"crpnn1", "crpnn2"}
     for r in doc["results"]:
         assert r["measured_mults_per_forward"] == r["mults_per_forward"]
+
+
+def test_a_report_derives_its_backend_and_note():
+    with pytest.raises(TypeError):
+        BenchReport(tiny_protocol(), kernel_backend="cuda")
+    with pytest.raises(TypeError):
+        BenchReport(tiny_protocol(), [], "numpy", COUNT_NOTE)
+    doc = json.loads(BenchReport(tiny_protocol()).to_json())
+    assert list(doc) == ["protocol", "results", "kernel_backend", "note"]
+    assert (doc["kernel_backend"], doc["note"], doc["results"]) == (backend_name(), COUNT_NOTE, [])
+    assert doc["protocol"]["variants"] == ["crpnn1", "crpnn2"]
 
 
 def test_inadmissible_topology_rejected():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -260,6 +261,45 @@ def test_an_output_naming_another_path_of_its_command_exits_1_before_any_work(
     assert captured.out == ""
     assert captured.err.startswith(f"crpnn {argv[0]}: error: {later} and {earlier} name the same file")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--variant", "crpnn1", "--order", "1000000000000", "--data", "d.csv",
+         "--model-out", "m.json"],
+        ["train", "--variant", "crpnn2", "--order", "99999999999999999999", "--data", "d.csv",
+         "--model-out", "m.json"],
+        ["bench", "--n", "2", "--order", "1000000000000", "--out", "b.json"],
+        ["compare", "--orders", "99999999999999999999", "--data", "d.csv", "--out", "c.csv"],
+        ["compare", "--variant", "crpnn1", "--orders", "3-1001", "--seeds", "1", "--epochs", "1",
+         "--data", "d.csv", "--out", "c.csv"],
+    ],
+    ids=["train-crpnn1", "train-crpnn2", "bench", "compare-order", "compare-range"],
+)
+def test_an_order_above_max_order_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    main(_GEN + ["--out", "t.csv", "--data-out", "d.csv", "--samples", "20"])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"crpnn {argv[0]}: error: ")
+    assert captured.err.endswith("exceeds MAX_ORDER (1000)\n") and captured.err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("window", [["--t-end", "inf"], ["--t-start=-1e308", "--t-end=1e308"]])
+def test_gen_with_a_time_range_without_a_finite_trajectory_exits_1_with_only_its_error(
+        tmp_path, capsys, window):
+    assert main(["gen", "--n", "5", "--degree", "3", "--items", "5", "--out", str(tmp_path / "t.csv"),
+                 "--data-out", str(tmp_path / "d.csv"), *window]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"crpnn gen: error: time range \[\S+, \S+\] gives a non-finite trajectory\n",
+                        captured.err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outputs_may_repeat_a_device_written_in_place(tmp_path, monkeypatch):

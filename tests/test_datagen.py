@@ -88,11 +88,19 @@ def test_generator_coefficient_range():
 
 
 @pytest.mark.parametrize(
-    "low, high", [(np.nan, 1.0), (-np.inf, 1.0), (-1.0, np.inf), (-1.0, np.nan), (-1e308, 1e308)]
+    "low, high",
+    [(np.nan, 1.0), (-np.inf, 1.0), (-1.0, np.inf), (-1.0, np.nan), (-1e308, 1e308),
+     (-1.0, 10**400), (-(10**400), 1.0)],
 )
 def test_generator_refuses_a_coefficient_range_without_a_finite_width(low, high):
     with pytest.raises(ValueError, match="coefficient bounds must be finite with a finite width"):
         gen_random_polynomial(2, 2, 3, coeff_low=low, coeff_high=high, seed=0)
+
+
+@pytest.mark.parametrize("t_start, t_end", [(0.0, np.inf), (-1e308, 1e308), (-np.inf, 3.0), (0.0, 1e308)])
+def test_a_time_range_without_a_finite_trajectory_is_refused(t_start, t_end):
+    with pytest.raises(ValueError, match=r"time range \[.*\] gives a non-finite trajectory"):
+        sample_sine_trajectory(10, t_start, t_end)
 
 
 def test_sine_trajectory_against_direct_formulas():

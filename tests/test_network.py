@@ -10,6 +10,8 @@ from crpnn.linalg import MultiplyCounter, ShapeError
 from crpnn.network import (
     CRPNN1,
     CRPNN2,
+    MAX_ORDER,
+    VARIANTS,
     CrpnnModel,
     ModelFormatError,
     NetworkSpec,
@@ -19,8 +21,8 @@ from crpnn.network import (
     predict_batch,
     save_model,
 )
-from crpnn.spectrum import evaluate_spectrum, expand_to_spectrum
-from crpnn.topology import mult_count_crpnn1, mult_count_crpnn2
+from crpnn.spectrum import MAX_EXPONENT, evaluate_spectrum, expand_to_spectrum
+from crpnn.topology import mult_count_crpnn1, mult_count_crpnn2, plan_topology
 
 
 def identity_crpnn2_toy():
@@ -313,6 +315,44 @@ def test_any_json_object_loads_and_round_trips_or_raises_model_format_error(doc)
     blob = save_model(model)
     again = load_model(blob)
     assert again.spec == model.spec and save_model(again) == blob
+
+
+def test_a_spec_derives_its_plan_and_takes_none_from_its_caller():
+    with pytest.raises(TypeError):
+        NetworkSpec("crpnn1", 2, 1, 6, plan_topology(2, 1, 6))
+    with pytest.raises(TypeError):
+        NetworkSpec(CRPNN2, 2, 1, 6, plan=plan_topology(2, 1, 5))
+    with pytest.raises(ValueError, match="unknown variant 'crpnnX'"):
+        NetworkSpec("crpnnX", 2, 1, 3)
+    assert NetworkSpec(CRPNN1, 2, 1, 6).plan is None
+    assert NetworkSpec(CRPNN2, 2, 1, 6).plan == plan_topology(2, 1, 6)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_orders_above_max_order_are_refused(variant):
+    assert MAX_EXPONENT == MAX_ORDER  # a model's spectrum stays importable
+    assert NetworkSpec(variant, 1, 1, MAX_ORDER).order == MAX_ORDER
+    for order in (MAX_ORDER + 1, 10**12, 10**20):
+        with pytest.raises(ValueError, match=rf"order {order} exceeds MAX_ORDER \({MAX_ORDER}\)"):
+            NetworkSpec(variant, 1, 1, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS + ("crpnnX",)),
+    n=st.integers(-1, 4),
+    m=st.integers(-1, 3),
+    order=st.integers(-1, 12) | st.sampled_from([MAX_ORDER, MAX_ORDER + 1]),
+)
+def test_every_spec_that_constructs_round_trips_and_no_other_loads(variant, n, m, order):
+    doc = {"variant": variant, "n": n, "m": m, "order": order, "weights": []}
+    try:
+        spec = NetworkSpec(variant, n, m, order)
+    except ValueError:
+        with pytest.raises(ModelFormatError):
+            load_model(json.dumps(doc).encode())
+        return
+    assert load_model(save_model(init_weights(spec, seed=0))).spec == spec
 
 
 def test_spectrum_forward_agreement_random_models():

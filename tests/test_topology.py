@@ -4,6 +4,7 @@ import pytest
 
 from crpnn.topology import (
     TopologyError,
+    TopologyPlan,
     mult_count_crpnn1,
     mult_count_crpnn2,
     plan_topology,
@@ -32,6 +33,12 @@ def test_plan_topology_known_cases(n, m, order, taylor, power, layers):
     assert plan.power == power
     assert plan.total_layers == layers
     assert order == plan.taylor_layers + plan.power + 1
+
+
+def test_a_plan_derives_its_layer_count():
+    with pytest.raises(TypeError):
+        TopologyPlan(3, 2, 99)
+    assert TopologyPlan(3, 2).total_layers == 5
 
 
 def test_plan_topology_rejects_low_orders():

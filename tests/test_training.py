@@ -16,7 +16,6 @@ from crpnn.training import (
     TrainingDivergedError,
     backward,
     grad_check,
-    internal_loss,
     loss_mse,
     sgd_step,
     train,
@@ -119,35 +118,37 @@ def test_grad_check_guards_large_models():
         grad_check(model, np.zeros((9, 1)), np.zeros((1, 1)))
 
 
-def test_single_small_step_decreases_internal_loss():
+def test_single_small_step_decreases_the_loss():
     rng = np.random.default_rng(9)
     for variant, order in ((CRPNN1, 4), (CRPNN2, 6)):
         for seed in range(5):
             model = init_weights(NetworkSpec.create(variant, 2, 1, order), seed=seed)
             xs = rng.uniform(-1, 1, size=(2, 1))
             ys = rng.uniform(-1, 1, size=(1, 1))
-            before = internal_loss(model, xs, ys)
+            before = loss_mse(predict_batch(model, xs), ys)
             grads = backward(model, xs, ys)
             if all(np.all(g == 0) for g in grads):
                 continue
             sgd_step(model, grads, 1e-6)
-            assert internal_loss(model, xs, ys) < before
+            assert loss_mse(predict_batch(model, xs), ys) < before
 
 
-def test_mse_is_twice_internal_loss_at_full_batch():
+@pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
+@pytest.mark.parametrize("m", [2, 3])
+def test_backward_is_the_gradient_of_m_times_mse_over_two(variant, m):
+    # grad_check differentiates m * MSE / 2; at m > 1 a missing factor m shows
     rng = np.random.default_rng(14)
-    model = init_weights(NetworkSpec.crpnn1(3, 1, 4), seed=3)
-    xs = rng.uniform(-1, 1, size=(3, 20))
-    ys = rng.uniform(-1, 1, size=(1, 20))
-    mse = loss_mse(predict_batch(model, xs), ys)
-    assert abs(mse - 2.0 * internal_loss(model, xs, ys)) < 1e-15
+    model = init_weights(NetworkSpec.create(variant, 2, m, 5), seed=3)
+    xs = rng.uniform(-1, 1, size=(2, 20))
+    ys = rng.uniform(-1, 1, size=(m, 20))
+    assert grad_check(model, xs, ys) < 1e-5
 
 
-def test_internal_loss_overflows_to_inf_without_a_warning():
+def test_loss_mse_overflows_to_inf_without_a_warning():
     # finite predictions near 1e200 whose squares overflow
     spec = NetworkSpec.crpnn1(1, 1, 2)
     model = CrpnnModel(spec, [np.full(shape, 1e100) for shape in spec.weight_shapes()])
-    assert internal_loss(model, [[0.5, -0.25]], [[0.0, 0.0]]) == np.inf
+    assert loss_mse(predict_batch(model, [[0.5, -0.25]]), [[0.0, 0.0]]) == np.inf
 
 
 def quadratic_dataset(seed=42, samples=200):
