@@ -17,11 +17,15 @@ whether the two results are equal bit for bit.  The products are:
 each with m = 6 rows of output or error (a hidden layer) and m = 1 (the
 output layer, whose ``Wt.D`` is the (6x1).(1xK) outer product).
 
-The last lines give the crossover: the largest output on which ``dot`` is
-faster for every product up to that size, and the smallest output on which
-``np.matmul`` is faster.  ``kernels.DOT_OUTPUT_BUDGET`` is set below it.
-The crossover depends on the numpy and BLAS build, so re-run this script
-after changing either.
+The last lines give the two routing rules of ``kernels``.  First, the
+crossover over every product whose inner size is more than 1: the largest
+output on which ``dot`` is faster for every such product up to that size,
+and the smallest output on which ``np.matmul`` is faster.
+``kernels.DOT_OUTPUT_BUDGET`` is set below it.  Second, for ``Wt.D`` at
+m = 1, whose inner size is 1 and which ``kernels.matmul_tn`` sends through
+``dot`` at every width, the number of widths at which ``dot`` is faster.
+Both depend on the numpy and BLAS build, so re-run this script after
+changing either.
 """
 
 import math
@@ -84,11 +88,15 @@ def main():
                 t_mm, t_dot = (t / CALLS * 1e6 for t in best)
                 rows.append((product, m, cols, out.nbytes, t_mm, t_dot))
                 print(f"{product:7s} {m:2d} {cols:5d} {out.nbytes:10d} {t_mm:8.2f} {t_dot:8.2f}  {same}")
-    fits, lost = crossover(rows)
-    print(f"dot is faster on every product whose output is at most {fits} bytes")
+    outer = [row for row in rows if row[:2] == ("Wt.D", 1)]
+    fits, lost = crossover([row for row in rows if row not in outer])
+    print(f"inner size > 1: dot is faster on every product whose output is at most {fits} bytes")
     if lost:
         nbytes, product, m, cols = lost
-        print(f"np.matmul is first faster at {nbytes} bytes ({product}, m={m}, K={cols})")
+        print(f"inner size > 1: np.matmul is first faster at {nbytes} bytes ({product}, m={m}, K={cols})")
+    wins = sum(t_dot < t_mm for *_, t_mm, t_dot in outer)
+    print(f"inner size 1 (Wt.D, m=1), sent through dot at every width: dot is faster at "
+          f"{wins} of {len(outer)} widths")
 
 
 if __name__ == "__main__":

@@ -36,8 +36,8 @@ from .network import (
 from .spectrum import expand_to_spectrum, export_spectrum
 from .training import TrainConfig, TrainingDivergedError, loss_mse, train
 
-# Every typed error of the package subclasses ValueError.
-_RUNTIME_ERRORS = (ValueError, TrainingDivergedError, FloatingPointError, OSError)
+# Every typed error of the package subclasses ValueError; MemoryError is a size too large to allocate.
+_RUNTIME_ERRORS = (ValueError, TrainingDivergedError, FloatingPointError, OSError, MemoryError)
 
 
 def _parse_orders(tokens):

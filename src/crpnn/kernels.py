@@ -12,13 +12,14 @@ writes the result there and returns it: no kernel allocates its result.
 A 2-D product into an ``out`` of at most ``DOT_OUTPUT_BUDGET`` bytes (a
 6x682 block) runs through ``ndarray.dot``, which makes the same BLAS call
 as ``np.matmul`` at half its call cost on narrow operands and gives the same
-bits.  Wider outputs and the stacked ``matmul_nt`` run through
-``np.matmul``, whose cost grows more slowly with the output.
+bits.  So does a ``matmul_tn`` of inner size 1 (the m=1 output layer's
+outer product) at every width.  Other wide outputs and the stacked
+``matmul_nt`` run through ``np.matmul``, whose cost grows more slowly.
 
 Each also takes a keyword-only ``counter`` and adds the scalar multiplies
 it ran, the package's only count formulas.  Kernels check nothing: their
-callers pass C-contiguous float64 operands of matching shapes, which the
-forward and backward passes check once per pass.
+callers pass C-contiguous float64 operands of matching shapes: weights that
+a model checked when it was built, and inputs that each pass checks once.
 """
 
 import numpy as np
@@ -56,7 +57,7 @@ def matmul_tn(a, b, *, out, counter=None):
     """a.T @ b"""
     if counter is not None:
         counter.add(a.shape[1] * a.shape[0] * b.shape[1])
-    if out.nbytes <= DOT_OUTPUT_BUDGET:
+    if out.nbytes <= DOT_OUTPUT_BUDGET or a.shape[0] == 1:  # inner size 1
         return a.T.dot(b, out=out)
     return np.matmul(a.T, b, out=out)
 

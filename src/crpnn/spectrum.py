@@ -30,7 +30,7 @@ import numpy as np
 
 from .csvio import FormatError, read_csv, write_csv
 from .linalg import ShapeError, as_array
-from .network import MAX_ORDER, _checked_weights
+from .network import MAX_ORDER
 
 MAX_DENSE_ENTRIES = 6 * 10 ** 6
 MAX_OUTPUT_INDEX = 10 ** 5  # import builds one map per index up to the largest
@@ -123,8 +123,7 @@ def _canonical(row, basis):
 
 def expand_to_spectrum(model):
     """Expand a model into the exact polynomial it computes per output."""
-    spec = model.spec
-    weights = _checked_weights(spec, model.weights)
+    spec, weights = model.spec, model.weights
     n = spec.n
     size = math.comb(n + spec.order, n)
     if (n + 1) * size > MAX_DENSE_ENTRIES:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import ShapeError, as_array
-from .network import _checked_weights, _fill_inputs, _layers, predict_batch
+from .network import _aligned_empty, _fill_inputs, _layers, _packed, predict_batch
 
 DIVERGENCE_CEILING = 1e12
 GRAD_CHECK_MAX_PARAMS = 2000
@@ -108,17 +108,16 @@ def backward(model, inputs, targets):
 
     Returns one gradient matrix per weight, shape-congruent with the model;
     all of them, the output one included, are views of one float64 vector
-    laid out as :func:`_packed` lays out the weights.  The pass allocates
+    laid out as the model's ``params``.  The pass allocates
     the forward cache and the gradients; a narrow pass (see
     ``ERROR_BLOCK_BUDGET``) also allocates one error block the size of the
     cache, and a wide one (K=5000 at n=5) nothing more.
     Overflow raises FloatingPointError, not a warning.
     """
     inputs, targets = _check_batch(model, inputs, targets)
-    spec = model.spec
-    weights = _checked_weights(spec, model.weights)
+    spec, weights = model.spec, model.weights
     hidden, width, cols = len(weights) - 1, spec.n + 1, inputs.shape[1]
-    grad, grads = _packed(spec, hidden, np.empty)
+    grad, grads = _packed(spec, np.empty)
     # X~, one cache slot per hidden layer and, for c > 1, X~^c last
     operands = np.empty((hidden + 1 + (spec.power > 1), width, cols))
     xa, stack = operands[0], operands[1 : hidden + 1]
@@ -129,15 +128,6 @@ def backward(model, inputs, targets):
         d = np.subtract(y, targets, out=y)
         _errors(weights, xa, xc, cache, d, grad, grads, _error_block(stack, grad, np.empty))
     return grads
-
-
-def _packed(spec, hidden, empty):
-    """A float64 vector from ``empty`` laid out as the weights, and its
-    weight-shaped views: ``hidden`` (n+1, n+1) matrices, then the output matrix."""
-    width = spec.n + 1
-    head = hidden * width * width
-    flat = empty((head + spec.m * width,))
-    return flat, [*flat[:head].reshape(hidden, width, width), flat[head:].reshape(spec.m, width)]
 
 
 # A narrow pass writes its hidden errors into a (hidden, n+1, B) block of
@@ -210,7 +200,10 @@ def _errors(weights, xa, xc, cache, d, grad, grads, block):
 
 
 def sgd_step(model, grads, learning_rate):
-    """In-place descent step: W <- W - learning_rate * dW."""
+    """In-place descent step W <- W - learning_rate * dW, in one update of
+    ``model.params``: the gradients, checked against the weights' count and
+    shapes, stack in its order, as each has n+1 columns.  Rounds as
+    ``w -= learning_rate * g``."""
     if len(grads) != len(model.weights):
         raise ShapeError(
             f"got {len(grads)} gradients for {len(model.weights)} weight matrices"
@@ -218,16 +211,9 @@ def sgd_step(model, grads, learning_rate):
     for w, g in zip(model.weights, grads):
         if w.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != weight shape {w.shape}")
-        w -= learning_rate * g
+    params = model.params
+    params -= (learning_rate * np.concatenate(grads)).ravel()
     return model
-
-
-def _aligned_empty(shape):
-    """An uninitialised C-contiguous float64 array starting on a 64-byte boundary."""
-    nbytes = 8 * math.prod(shape)
-    raw = np.empty(nbytes + 64, dtype=np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start : start + nbytes].view(np.float64).reshape(shape)
 
 
 def train(model, dataset, config):
@@ -242,23 +228,18 @@ def train(model, dataset, config):
     weights, and only the last epoch adds a pass of its own.  A minibatch
     epoch ends with a forward pass over the dataset for its MSE.
 
-    Model and dataset are checked once, before the first step.  The weights
-    and the gradients are packed into one float64 vector each (see
-    :func:`_packed`), X~, X~^c and the targets written once as rows of one
-    block over the dataset, and each batch width (at most two) gets its
-    buffers once.  A minibatch step gathers its columns with one ``take`` (a
-    full-batch step gathers nothing), runs forward and backward there (a
-    width within ``ERROR_BLOCK_BUDGET`` also gets its error block once) and
-    updates the weights with ``g *= lr; w -= g``, rounding as ``w -= lr * g``.
-    The weights are written back into the model's own arrays, in their own
-    dtype and layout, when the call returns or raises.
+    The dataset is checked once, before the first step.  The gradients are
+    packed into one float64 vector laid out as ``model.params``, X~, X~^c and
+    the targets written once as rows of one block over the dataset, and each
+    batch width (at most two) gets its buffers once.  A minibatch step gathers
+    its columns with one ``take`` (a full-batch step gathers nothing), runs
+    forward and backward there (a width within ``ERROR_BLOCK_BUDGET`` also
+    gets its error block once) and updates ``model.params`` in place with
+    ``g *= lr; params -= g``, rounding as ``w -= lr * g``.  When the call
+    raises, the model keeps the steps taken before the error.
     """
     inputs, targets = _check_batch(model, dataset.inputs, dataset.targets)
-    spec = model.spec
-    checked = _checked_weights(spec, model.weights)
-    if not all(isinstance(w, np.ndarray) and w.flags.writeable and w.dtype.kind in "fc"
-               for w in model.weights):
-        raise TypeError("train writes the weights back in place: each must be a writeable float array")
+    spec, weights, params = model.spec, model.weights, model.params
     total = inputs.shape[1]
     batch = config.batch_size if config.batch_size is not None else total
     if batch > total:
@@ -266,10 +247,8 @@ def train(model, dataset, config):
 
     with np.errstate(over="ignore", invalid="ignore"):
         # aligned blocks: at K=5000 a pass took up to 37% longer at other offsets
-        width, hidden = spec.n + 1, len(checked) - 1
-        params, weights = _packed(spec, hidden, _aligned_empty)
-        np.concatenate([w.ravel() for w in checked], out=params)
-        grad, grads = _packed(spec, hidden, _aligned_empty)
+        width, hidden = spec.n + 1, len(weights) - 1
+        grad, grads = _packed(spec, _aligned_empty)
         # X~, X~^c (c > 1) and the targets share one block: one take per step
         rows = width * (1 + (spec.power > 1))
         full = _aligned_empty((rows + spec.m, total))
@@ -306,27 +285,23 @@ def train(model, dataset, config):
         rng = np.random.default_rng(config.seed)
         lr = config.learning_rate
         record = TrainRecord()
-        try:
-            for epoch in range(config.epochs):
-                order = rng.permutation(total) if batch < total else None
-                for lo in range(0, total, batch):
-                    data, (b_xa, b_xc, b_targets), cache, y, block = work[min(batch, total - lo)]
-                    if order is not None:  # mode="clip" writes out= without a buffer copy
-                        full.take(order[lo : lo + batch], axis=1, out=data, mode="clip")
-                    _layers(weights, b_xa, b_xc, cache, y)
-                    d = np.subtract(y, b_targets, out=y)
-                    if order is None and epoch:
-                        # at full batch this pass runs at the weights the last epoch left
-                        close_epoch(epoch - 1, float(np.mean(d * d)))
-                    _errors(weights, b_xa, b_xc, cache, d, grad, grads, block)
-                    grad *= lr
-                    params -= grad
-                if order is not None or epoch == config.epochs - 1:
-                    close_epoch(epoch, metric())
-            record.final_mse = record.mse_per_epoch[-1] if record.mse_per_epoch else metric()
-        finally:
-            for w, trained in zip(model.weights, weights):
-                np.copyto(w, trained)
+        for epoch in range(config.epochs):
+            order = rng.permutation(total) if batch < total else None
+            for lo in range(0, total, batch):
+                data, (b_xa, b_xc, b_targets), cache, y, block = work[min(batch, total - lo)]
+                if order is not None:  # mode="clip" writes out= without a buffer copy
+                    full.take(order[lo : lo + batch], axis=1, out=data, mode="clip")
+                _layers(weights, b_xa, b_xc, cache, y)
+                d = np.subtract(y, b_targets, out=y)
+                if order is None and epoch:
+                    # at full batch this pass runs at the weights the last epoch left
+                    close_epoch(epoch - 1, float(np.mean(d * d)))
+                _errors(weights, b_xa, b_xc, cache, d, grad, grads, block)
+                grad *= lr
+                params -= grad
+            if order is not None or epoch == config.epochs - 1:
+                close_epoch(epoch, metric())
+        record.final_mse = record.mse_per_epoch[-1] if record.mse_per_epoch else metric()
     return model, record
 
 

@@ -302,6 +302,30 @@ def test_gen_with_a_time_range_without_a_finite_trajectory_exits_1_with_only_its
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "module, callee, argv",
+    [
+        ("cli", "default_inputs", ["gen", "--n", "5", "--degree", "3", "--items", "5", "--out", "t.csv",
+                                   "--data-out", "d.csv", "--samples", "1000000000000"]),
+        ("bench", "init_weights", ["bench", "--n", "100000", "--order", "3", "--out", "b.json"]),
+    ],
+    ids=["gen", "bench"],
+)
+def test_a_size_too_large_to_allocate_exits_1_with_only_its_error(
+        tmp_path, monkeypatch, capsys, module, callee, argv):
+    # the callee raises as numpy does for such a size, without allocating
+    def unable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(f"crpnn.{module}.{callee}", unable)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"crpnn {argv[0]}: error: Unable to allocate 7.28 TiB for an array\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_outputs_may_repeat_a_device_written_in_place(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(_GEN + ["--out", os.devnull, "--data-out", os.devnull]) == 0

@@ -92,7 +92,12 @@ def test_np_matmul_serves_only_wide_and_stacked_products(monkeypatch):
     kernels.matmul(w, narrow, out=np.empty(narrow.shape))
     kernels.matmul_tn(w, narrow, out=np.empty(narrow.shape))
     kernels.matmul_nt(wide, wide, out=np.empty((8, 8)))
+    # an inner size of 1 goes through dot at every width, with np.matmul's bits
+    rng = np.random.default_rng(1)
+    row, errors = rng.uniform(-1, 1, (1, 6)), rng.uniform(-1, 1, (1, 5000))
+    outer = kernels.matmul_tn(row, errors, out=np.empty((6, 5000)))
     assert len(calls) == 0
+    np.testing.assert_array_equal(outer, matmul(row.T, errors), strict=True)
     kernels.matmul(w, wide, out=np.empty(wide.shape))
     kernels.matmul_tn(w, wide, out=np.empty(wide.shape))
     kernels.matmul_nt(np.ones((2, 6, 32)), np.ones((2, 6, 32)), out=np.empty((2, 6, 6)))

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -148,7 +150,7 @@ def test_output_scaling_is_exact(variant):
     order = 6 if variant == CRPNN2 else 4
     model = init_weights(NetworkSpec.create(variant, 2, 2, order), seed=11)
     doubled = model.copy()
-    doubled.weights[-1] *= 2.0
+    doubled.weights[-1][:] *= 2.0
     x = rng.uniform(-1, 1, size=2)
     np.testing.assert_array_equal(forward(doubled, x), 2.0 * forward(model, x))
     spec_a = expand_to_spectrum(model)
@@ -433,49 +435,87 @@ def test_forward_leaves_caller_input_unmodified(sizing):
     np.testing.assert_array_equal(xs, before)
 
 
-def test_too_few_weight_matrices_raise_shape_error():
+def test_too_few_weight_matrices_raise_shape_error_at_construction():
     # two matrices would run as CR-PNN I of order 2, not the declared order 3
     spec = NetworkSpec.crpnn1(2, 1, 3)
-    model = CrpnnModel(spec, init_weights(spec, seed=0).weights[1:])
-    xs = np.zeros((2, 4))
     with pytest.raises(ShapeError, match=r"expected 3 weight matrices .* got 2"):
-        predict_batch(model, xs)
-    with pytest.raises(ShapeError, match=r"expected 3 weight matrices"):
-        forward(model, xs[:, 0])
+        CrpnnModel(spec, init_weights(spec, seed=0).weights[1:])
+    doc = json.loads(save_model(init_weights(spec, seed=0)))
+    del doc["weights"][0]
+    with pytest.raises(ModelFormatError, match=r"expected 3 weight matrices .* got 2"):
+        load_model(json.dumps(doc).encode())
 
 
 @pytest.mark.parametrize("layer", [0, -1])
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
-def test_wrong_weight_shape_raises_shape_error_naming_shapes(variant, layer):
+def test_wrong_weight_shape_raises_shape_error_naming_shapes_at_construction(variant, layer):
     spec = NetworkSpec.create(variant, 3, 2, 7)
-    model = init_weights(spec, seed=0)
+    weights = list(init_weights(spec, seed=0).weights)
     rows, cols = spec.weight_shapes()[layer]
-    model.weights[layer] = np.ones((rows, cols - 1))
-    idx = layer % len(model.weights)
+    weights[layer] = np.ones((rows, cols - 1))
+    idx = layer % len(weights)
     message = rf"weight matrix {idx} has shape \({rows}, {cols - 1}\), expected \({rows}, {cols}\)"
-    xs = np.zeros((3, 5))
     with pytest.raises(ShapeError, match=message):
-        predict_batch(model, xs)
-    with pytest.raises(ShapeError, match=message):
-        forward(model, xs[:, 0])
+        CrpnnModel(spec, weights)
 
 
-def _weights_as(model, convert):
-    return CrpnnModel(model.spec, [convert(w) for w in model.weights])
+def assert_packed(model):
+    """``params`` is one C-contiguous float64 vector and ``weights`` its views,
+    laid out as the hidden matrices in order and then the output matrix."""
+    params = model.params
+    assert params.dtype == np.float64 and params.ndim == 1 and params.flags.c_contiguous
+    assert params.size == model.parameter_count() == sum(math.prod(s) for s in model.spec.weight_shapes())
+    assert [w.shape for w in model.weights] == model.spec.weight_shapes()
+    assert all(w.dtype == np.float64 and w.flags.c_contiguous for w in model.weights)
+    kept = params.copy()
+    params[:] = np.arange(params.size)  # the views see every write at their own offsets
+    np.testing.assert_array_equal(np.concatenate([w.ravel() for w in model.weights]), params)
+    params[:] = kept
 
 
-@pytest.mark.parametrize("cols", [1, 32, 37])
 @pytest.mark.parametrize("sizing", ENGINE_SPECS)
-def test_float32_and_fortran_weights_match_float64_copies(sizing, cols):
+def test_every_constructor_packs_the_weights_into_one_float64_vector(sizing):
+    spec = NetworkSpec.create(*sizing)
+    drawn = init_weights(spec, seed=3)
+    arrays = [w.copy() for w in drawn.weights]
+    built = CrpnnModel(spec, arrays)
+    loaded = load_model(save_model(drawn))
+    copied = drawn.copy()
+    for model in (drawn, built, loaded, copied):
+        assert_packed(model)
+        np.testing.assert_array_equal(model.params, drawn.params, strict=True)
+    assert not any(np.shares_memory(built.params, a) for a in arrays)
+    assert not np.shares_memory(copied.params, drawn.params)
+
+
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_init_weights_draws_params_as_the_per_matrix_draws(sizing):
+    # one draw over params equals one draw per matrix, input side first
+    spec = NetworkSpec.create(*sizing)
+    rng, r = np.random.default_rng(7), 1.0 / np.sqrt(spec.n + 1)
+    per_matrix = [rng.uniform(-r, r, size=shape) for shape in spec.weight_shapes()]
+    for w, expected in zip(init_weights(spec, seed=7).weights, per_matrix, strict=True):
+        np.testing.assert_array_equal(w, expected, strict=True)
+
+
+def test_a_model_is_frozen():
+    model = init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=0)
+    with pytest.raises(TypeError):
+        model.weights[0] = np.zeros((3, 3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.params = np.zeros_like(model.params)
+
+
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_float32_int_and_fortran_weights_are_copied_into_float64_params(sizing):
     model = init_weights(NetworkSpec.create(*sizing), seed=5)
-    single = _weights_as(model, lambda w: w.astype(np.float32))
-    single_as_double = _weights_as(single, lambda w: w.astype(np.float64))
-    fortran = _weights_as(model, np.asfortranarray)
-    xs = np.random.default_rng(cols).uniform(-1, 1, size=(sizing[1], cols))
-    for odd, plain in ((single, single_as_double), (fortran, model)):
-        np.testing.assert_array_equal(predict_batch(odd, xs), predict_batch(plain, xs))
-        np.testing.assert_array_equal(forward(odd, xs[:, 0]), forward(plain, xs[:, 0]))
-    assert single.weights[0].dtype == np.float32  # the caller's arrays are kept
+    for convert in (lambda w: w.astype(np.float32), lambda w: np.round(4 * w).astype(np.int64),
+                    np.asfortranarray):
+        arrays = [convert(w) for w in model.weights]
+        odd = CrpnnModel(model.spec, arrays)
+        assert_packed(odd)
+        for w, a in zip(odd.weights, arrays, strict=True):
+            np.testing.assert_array_equal(w, a.astype(np.float64), strict=True)
 
 
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])

@@ -1,15 +1,17 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crpnn.datagen import Dataset
 from crpnn.kernels import DOT_OUTPUT_BUDGET
-from crpnn.linalg import ShapeError
+from crpnn.linalg import MultiplyCounter, ShapeError
 from crpnn.network import CRPNN1, CRPNN2, CrpnnModel, NetworkSpec, init_weights, predict_batch
 from crpnn.spectrum import RelationSpectrum, evaluate_spectrum_cols
+from crpnn.topology import mult_count_crpnn1, mult_count_crpnn2
 from crpnn.training import (
     ERROR_BLOCK_BUDGET,
     TrainConfig,
@@ -284,7 +286,7 @@ def test_backward_leaves_caller_arrays_unmodified(sizing):
     first = backward(model, xs, ts)
     kept = [g.copy() for g in first]
     second = backward(model, xs, ts)
-    for arr, orig in zip([xs, ts] + model.weights, before):
+    for arr, orig in zip([xs, ts, *model.weights], before):
         np.testing.assert_array_equal(arr, orig)
     for g, g_again, g_kept in zip(first, second, kept):
         assert not np.shares_memory(g, g_again)
@@ -304,41 +306,105 @@ def test_every_gradient_is_a_view_of_one_vector(sizing):
     np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in grads]))
 
 
-def test_too_few_weight_matrices_raise_shape_error():
-    # two matrices would train as CR-PNN I of order 2, not the declared order 3
-    spec = NetworkSpec.crpnn1(2, 1, 3)
-    model = CrpnnModel(spec, init_weights(spec, seed=0).weights[1:])
-    with pytest.raises(ShapeError, match=r"expected 3 weight matrices .* got 2"):
-        backward(model, np.zeros((2, 4)), np.zeros((1, 4)))
+def test_sgd_step_refuses_too_few_gradients_and_leaves_the_params():
+    model = init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=0)
+    grads = backward(model, np.zeros((2, 4)), np.ones((1, 4)))
+    before = model.params.copy()
+    with pytest.raises(ShapeError, match="got 2 gradients for 3 weight matrices"):
+        sgd_step(model, grads[1:], 0.1)
+    np.testing.assert_array_equal(model.params, before)
 
 
 @pytest.mark.parametrize("layer", [0, -1])
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
-def test_wrong_weight_shape_raises_shape_error_naming_shapes(variant, layer):
-    spec = NetworkSpec.create(variant, 3, 2, 7)
-    model = init_weights(spec, seed=0)
-    rows, cols = spec.weight_shapes()[layer]
-    model.weights[layer] = np.ones((rows, cols - 1))
-    idx = layer % len(model.weights)
-    message = rf"weight matrix {idx} has shape \({rows}, {cols - 1}\), expected \({rows}, {cols}\)"
+def test_sgd_step_refuses_a_wrong_gradient_shape_and_leaves_the_params(variant, layer):
+    model = init_weights(NetworkSpec.create(variant, 3, 2, 7), seed=0)
+    grads = [np.ones_like(w) for w in model.weights]
+    rows, cols = grads[layer].shape
+    grads[layer] = np.ones((rows, cols - 1))
+    before = model.params.copy()
+    message = rf"gradient shape \({rows}, {cols - 1}\) != weight shape \({rows}, {cols}\)"
     with pytest.raises(ShapeError, match=message):
-        backward(model, np.zeros((3, 5)), np.zeros((2, 5)))
+        sgd_step(model, grads, 0.1)
+    np.testing.assert_array_equal(model.params, before)
 
 
-@pytest.mark.parametrize("cols", [1, 32, 37])
 @pytest.mark.parametrize("sizing", ENGINE_SPECS)
-def test_float32_and_fortran_weights_give_float64_gradients(sizing, cols):
+def test_sgd_step_is_the_per_matrix_update_bit_for_bit(sizing):
+    # for backward's gradients, views of one vector, and for a hand-made list
     model = init_weights(NetworkSpec.create(*sizing), seed=5)
-    single = CrpnnModel(model.spec, [w.astype(np.float32) for w in model.weights])
-    single_as_double = CrpnnModel(model.spec, [w.astype(np.float64) for w in single.weights])
-    fortran = CrpnnModel(model.spec, [np.asfortranarray(w) for w in model.weights])
-    rng = np.random.default_rng(cols)
-    xs = rng.uniform(-1, 1, size=(sizing[1], cols))
-    ts = rng.uniform(-1, 1, size=(sizing[2], cols))
-    for odd, plain in ((single, single_as_double), (fortran, model)):
-        for g, g_plain in zip(backward(odd, xs, ts), backward(plain, xs, ts)):
-            assert g.dtype == np.float64 and g.flags.c_contiguous
-            np.testing.assert_array_equal(g, g_plain)
+    rng = np.random.default_rng(1)
+    xs = rng.uniform(-1, 1, size=(sizing[1], 9))
+    backward_grads = backward(model, xs, rng.uniform(-1, 1, size=(sizing[2], 9)))
+    hand_made = [rng.uniform(-1e3, 1e3, size=w.shape) for w in model.weights]
+    for grads in (backward_grads, hand_made):
+        for lr in (0.01, 0.3, 7.0):
+            expected = [w - lr * g for w, g in zip(model.weights, grads)]
+            params = model.params
+            assert sgd_step(model, grads, lr) is model and model.params is params
+            for w, w_ref in zip(model.weights, expected, strict=True):
+                np.testing.assert_array_equal(w, w_ref, strict=True)
+
+
+@contextlib.contextmanager
+def counted_kernels():
+    """Every kernel that the passes call, wrapped to add to one MultiplyCounter,
+    which is yielded; the kernels are restored on exit."""
+    import crpnn.kernels
+    import crpnn.network
+
+    tally, saved = MultiplyCounter(), []
+
+    def counted(kernel):
+        return lambda *args, out, counter=None: kernel(*args, out=out, counter=tally)
+
+    for module in (crpnn.kernels, crpnn.network):
+        for name in ("matmul", "matmul_nt", "matmul_tn", "hadamard", "power"):
+            if hasattr(module, name):
+                saved.append((module, name, getattr(module, name)))
+                setattr(module, name, counted(getattr(module, name)))
+    try:
+        yield tally
+    finally:
+        for module, name, kernel in saved:
+            setattr(module, name, kernel)
+
+
+def backward_mults(variant, n, m, order):
+    """forward + 2m(n+1) + (h-1)(n+1)^2 + h(n+1) + h(n+1)^2 per sample, h = L - c"""
+    width, hidden = n + 1, order - NetworkSpec.create(variant, n, m, order).power
+    forward = (mult_count_crpnn1 if variant == CRPNN1 else mult_count_crpnn2)(n, m, order)
+    return forward + 2 * m * width + (hidden - 1) * width**2 + hidden * width + hidden * width**2
+
+
+def test_backward_mults_at_the_paper_sizing():
+    assert backward_mults(CRPNN1, 5, 1, 14) == 1542
+    assert backward_mults(CRPNN2, 5, 1, 14) == 858
+
+
+@st.composite
+def work_sizings(draw):
+    # CR-PNN I from order 2: at order 1 no hidden layer is sent an error
+    variant = draw(st.sampled_from([CRPNN1, CRPNN2]))
+    n = draw(st.integers(1, 4))
+    low = n + 2 if variant == CRPNN2 else 2
+    return variant, n, draw(st.integers(1, 3)), draw(st.integers(low, low + 5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(work_sizings())
+@example((CRPNN1, 5, 1, 14))
+@example((CRPNN2, 5, 1, 14))
+def test_a_backward_pass_runs_the_formulas_multiplies(sizing):
+    # on the stacked chain (3 columns) and on the eager one (WIDE)
+    variant, n, m, order = sizing
+    model = init_weights(NetworkSpec.create(variant, n, m, order), seed=0)
+    for cols in (3, WIDE):
+        rng = np.random.default_rng(cols)
+        xs, ts = rng.uniform(-1, 1, size=(n, cols)), rng.uniform(-1, 1, size=(m, cols))
+        with counted_kernels() as counter:
+            backward(model, xs, ts)
+        assert counter.count == cols * backward_mults(*sizing)
 
 
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
@@ -565,25 +631,21 @@ def test_train_is_bit_identical_to_the_loop_of_public_calls_on_any_sizing(case):
     assert_train_matches_reference(model, dataset, config)
 
 
-@pytest.mark.parametrize("cut", ["count", "shape"])
-def test_bad_weights_raise_before_training(cut):
-    spec = NetworkSpec.crpnn1(2, 1, 3)
-    weights = init_weights(spec, seed=0).weights
-    weights = weights[1:] if cut == "count" else [weights[0][:, :-1], *weights[1:]]
-    with pytest.raises(ShapeError):
-        train(CrpnnModel(spec, weights), quadratic_dataset(), TrainConfig(epochs=2))
-
-
 @pytest.mark.parametrize("kind", ["int64", "read-only"])
-def test_weights_that_cannot_take_the_result_raise_before_training(kind):
+def test_train_steps_on_the_models_params_not_on_the_arrays_it_was_built_from(kind):
     spec = NetworkSpec.crpnn1(2, 1, 3)
-    weights = init_weights(spec, seed=0).weights
+    arrays = list(init_weights(spec, seed=0).weights)
     if kind == "int64":
-        weights[1] = np.round(4 * weights[1]).astype(np.int64)
+        arrays[1] = np.round(4 * arrays[1]).astype(np.int64)
     else:
-        weights[1].flags.writeable = False
-    with pytest.raises(TypeError, match="writeable float array"):
-        train(CrpnnModel(spec, weights), quadratic_dataset(), TrainConfig(epochs=2))
+        arrays[1].flags.writeable = False
+    before = [a.copy() for a in arrays]
+    model = CrpnnModel(spec, arrays)
+    start = model.params.copy()
+    train(model, quadratic_dataset(), TrainConfig(epochs=2))
+    assert not np.array_equal(model.params, start)
+    for a, b in zip(arrays, before, strict=True):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
@@ -595,28 +657,14 @@ def test_train_config_rejects_rates_that_are_not_positive_and_finite(name, value
 
 @pytest.mark.parametrize("batch_size", [None, 8])
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
-def test_train_writes_back_into_the_callers_arrays(variant, batch_size):
+def test_train_steps_the_models_params_in_place(variant, batch_size):
     spec = NetworkSpec.create(variant, 2, 1, 7)
     model = init_weights(spec, seed=1)
-    ds = dataset_for(spec, 37, 6)
+    params, weights, start = model.params, model.weights, model.params.copy()
     config = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=4)
-    fortran = CrpnnModel(spec, [w.copy(order="F") for w in model.weights])
-    single = CrpnnModel(spec, [w.astype(np.float32) for w in model.weights])
-    single_as_double = CrpnnModel(spec, [w.astype(np.float64) for w in single.weights])
-    for odd in (fortran, single):
-        arrays = list(odd.weights)
-        layouts = [(w.dtype, w.flags.c_contiguous, w.flags.f_contiguous) for w in arrays]
-        trained, _ = train(odd, ds, config)
-        assert trained is odd
-        assert all(w is a for w, a in zip(odd.weights, arrays, strict=True))
-        assert [(w.dtype, w.flags.c_contiguous, w.flags.f_contiguous) for w in arrays] == layouts
-    train(model, ds, config)
-    train(single_as_double, ds, config)
-    for w_f, w_c in zip(fortran.weights, model.weights):
-        np.testing.assert_array_equal(w_f, w_c, strict=True)
-    # float32 weights train as their float64 copy and are rounded once, at the end
-    for w_s, w_d in zip(single.weights, single_as_double.weights):
-        np.testing.assert_array_equal(w_s, w_d.astype(np.float32), strict=True)
+    trained, _ = train(model, dataset_for(spec, 37, 6), config)
+    assert trained is model and model.params is params and model.weights is weights
+    assert not np.array_equal(params, start)
 
 
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
