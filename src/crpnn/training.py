@@ -118,8 +118,9 @@ def backward(model, inputs, targets):
     spec, weights = model.spec, model.weights
     hidden, width, cols = len(weights) - 1, spec.n + 1, inputs.shape[1]
     grad, grads = _packed(spec, np.empty)
-    # X~, one cache slot per hidden layer and, for c > 1, X~^c last
-    operands = np.empty((hidden + 1 + (spec.power > 1), width, cols))
+    # X~, cache slots, X~^c last for c > 1; aligned (see predict_batch) when wide, where it pays
+    wide = 8 * hidden * width * cols > ERROR_BLOCK_BUDGET
+    operands = (_aligned_empty if wide else np.empty)((hidden + 1 + (spec.power > 1), width, cols))
     xa, stack = operands[0], operands[1 : hidden + 1]
     cache = [*stack]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -201,9 +202,8 @@ def _errors(weights, xa, xc, cache, d, grad, grads, block):
 
 def sgd_step(model, grads, learning_rate):
     """In-place descent step W <- W - learning_rate * dW, in one update of
-    ``model.params``: the gradients, checked against the weights' count and
-    shapes, stack in its order, as each has n+1 columns.  Rounds as
-    ``w -= learning_rate * g``."""
+    ``model.params``: the gradients, checked against the weights' count and shapes,
+    stack in its order (each has n+1 columns).  Rounds as ``w -= learning_rate * g``."""
     if len(grads) != len(model.weights):
         raise ShapeError(
             f"got {len(grads)} gradients for {len(model.weights)} weight matrices"

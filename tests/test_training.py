@@ -669,8 +669,11 @@ def test_train_steps_the_models_params_in_place(variant, batch_size):
 
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
 @pytest.mark.parametrize("samples, batch_size", [(5000, None), (2000, 32), (5000, 32)])
-def test_train_operands_start_on_64_byte_boundaries(monkeypatch, variant, samples, batch_size):
-    # the benchmark widths: K=5000 full batch, B=32 with short batches of 16 and 8
+def test_train_wide_backward_and_forward_operands_start_on_64_byte_boundaries(
+        monkeypatch, variant, samples, batch_size):
+    # the benchmark widths: K=5000 full batch, B=32 with short batches of 16 and 8;
+    # a public backward pass over the whole dataset is wide at both K
+    import crpnn.network
     import crpnn.training
 
     offsets = set()
@@ -679,9 +682,13 @@ def test_train_operands_start_on_64_byte_boundaries(monkeypatch, variant, sample
         offsets.update(a.ctypes.data % 64 for a in [xa, *slots] + ([] if xc is None else [xc]))
         return layers(weights, xa, xc, slots, y, counter)
 
-    layers = crpnn.training._layers
-    monkeypatch.setattr(crpnn.training, "_layers", recording_layers)
+    layers = crpnn.network._layers
+    for module in (crpnn.network, crpnn.training):
+        monkeypatch.setattr(module, "_layers", recording_layers)
     spec = NetworkSpec.create(variant, 5, 1, 14)
+    model, ds = init_weights(spec, seed=0), dataset_for(spec, samples, 0)
     config = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=batch_size, seed=0)
-    train(init_weights(spec, seed=0), dataset_for(spec, samples, 0), config)
+    train(model, ds, config)
+    backward(model, ds.inputs, ds.targets)
+    predict_batch(model, ds.inputs)
     assert offsets == {0}
