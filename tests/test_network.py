@@ -435,7 +435,7 @@ def test_forward_leaves_caller_input_unmodified(sizing):
     np.testing.assert_array_equal(xs, before)
 
 
-def test_too_few_weight_matrices_raise_shape_error_at_construction():
+def test_too_few_weight_matrices_raise_shape_error():
     # two matrices would run as CR-PNN I of order 2, not the declared order 3
     spec = NetworkSpec.crpnn1(2, 1, 3)
     with pytest.raises(ShapeError, match=r"expected 3 weight matrices .* got 2"):
@@ -448,7 +448,7 @@ def test_too_few_weight_matrices_raise_shape_error_at_construction():
 
 @pytest.mark.parametrize("layer", [0, -1])
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
-def test_wrong_weight_shape_raises_shape_error_naming_shapes_at_construction(variant, layer):
+def test_wrong_weight_shape_raises_shape_error_naming_shapes(variant, layer):
     spec = NetworkSpec.create(variant, 3, 2, 7)
     weights = list(init_weights(spec, seed=0).weights)
     rows, cols = spec.weight_shapes()[layer]
@@ -516,6 +516,21 @@ def test_float32_int_and_fortran_weights_are_copied_into_float64_params(sizing):
         assert_packed(odd)
         for w, a in zip(odd.weights, arrays, strict=True):
             np.testing.assert_array_equal(w, a.astype(np.float64), strict=True)
+
+
+@pytest.mark.parametrize("cols", [1, 32, 37])
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_float32_and_fortran_weights_match_float64_copies(sizing, cols):
+    model = init_weights(NetworkSpec.create(*sizing), seed=5)
+    single_arrays = [w.astype(np.float32) for w in model.weights]
+    single = CrpnnModel(model.spec, single_arrays)
+    single_as_double = CrpnnModel(model.spec, [w.astype(np.float64) for w in single_arrays])
+    fortran = CrpnnModel(model.spec, [np.asfortranarray(w) for w in model.weights])
+    xs = np.random.default_rng(cols).uniform(-1, 1, size=(sizing[1], cols))
+    for odd, plain in ((single, single_as_double), (fortran, model)):
+        np.testing.assert_array_equal(predict_batch(odd, xs), predict_batch(plain, xs))
+        np.testing.assert_array_equal(forward(odd, xs[:, 0]), forward(plain, xs[:, 0]))
+    assert single_arrays[0].dtype == np.float32  # the caller's arrays are kept
 
 
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])

@@ -165,6 +165,15 @@ def test_toy_expansion_is_x5_plus_1():
     assert spectrum.terms == ({(5,): 1.0, (0,): 1.0},)
 
 
+def test_expansion_checks_the_weights_like_the_engine():
+    # the one model constructor checks them, so no model with bad weights reaches the expansion
+    spec = NetworkSpec.crpnn1(2, 1, 3)
+    with pytest.raises(ShapeError, match="expected 3 weight matrices"):
+        expand_to_spectrum(CrpnnModel(spec, [np.eye(3), np.ones((1, 3))]))
+    with pytest.raises(ShapeError, match=r"weight matrix 0 has shape \(3, 2\)"):
+        expand_to_spectrum(CrpnnModel(spec, [np.ones((3, 2)), np.eye(3), np.ones((1, 3))]))
+
+
 def test_zero_weights_expand_to_empty_spectrum():
     spec = NetworkSpec.crpnn1(2, 1, 3)
     model = CrpnnModel(spec, [np.zeros(s) for s in spec.weight_shapes()])

@@ -306,6 +306,44 @@ def test_every_gradient_is_a_view_of_one_vector(sizing):
     np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in grads]))
 
 
+def test_too_few_weight_matrices_raise_shape_error():
+    # two matrices would train as CR-PNN I of order 2, not the declared order 3
+    spec = NetworkSpec.crpnn1(2, 1, 3)
+    with pytest.raises(ShapeError, match=r"expected 3 weight matrices .* got 2"):
+        backward(CrpnnModel(spec, init_weights(spec, seed=0).weights[1:]),
+                 np.zeros((2, 4)), np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("layer", [0, -1])
+@pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
+def test_wrong_weight_shape_raises_shape_error_naming_shapes(variant, layer):
+    spec = NetworkSpec.create(variant, 3, 2, 7)
+    weights = list(init_weights(spec, seed=0).weights)
+    rows, cols = spec.weight_shapes()[layer]
+    weights[layer] = np.ones((rows, cols - 1))
+    idx = layer % len(weights)
+    message = rf"weight matrix {idx} has shape \({rows}, {cols - 1}\), expected \({rows}, {cols}\)"
+    with pytest.raises(ShapeError, match=message):
+        backward(CrpnnModel(spec, weights), np.zeros((3, 5)), np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("cols", [1, 32, 37])
+@pytest.mark.parametrize("sizing", ENGINE_SPECS)
+def test_float32_and_fortran_weights_give_float64_gradients(sizing, cols):
+    model = init_weights(NetworkSpec.create(*sizing), seed=5)
+    single_arrays = [w.astype(np.float32) for w in model.weights]
+    single = CrpnnModel(model.spec, single_arrays)
+    single_as_double = CrpnnModel(model.spec, [w.astype(np.float64) for w in single_arrays])
+    fortran = CrpnnModel(model.spec, [np.asfortranarray(w) for w in model.weights])
+    rng = np.random.default_rng(cols)
+    xs = rng.uniform(-1, 1, size=(sizing[1], cols))
+    ts = rng.uniform(-1, 1, size=(sizing[2], cols))
+    for odd, plain in ((single, single_as_double), (fortran, model)):
+        for g, g_plain in zip(backward(odd, xs, ts), backward(plain, xs, ts), strict=True):
+            assert g.dtype == np.float64 and g.flags.c_contiguous
+            np.testing.assert_array_equal(g, g_plain)
+
+
 def test_sgd_step_refuses_too_few_gradients_and_leaves_the_params():
     model = init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=0)
     grads = backward(model, np.zeros((2, 4)), np.ones((1, 4)))
@@ -631,6 +669,15 @@ def test_train_is_bit_identical_to_the_loop_of_public_calls_on_any_sizing(case):
     assert_train_matches_reference(model, dataset, config)
 
 
+@pytest.mark.parametrize("cut", ["count", "shape"])
+def test_bad_weights_raise_before_training(cut):
+    spec = NetworkSpec.crpnn1(2, 1, 3)
+    weights = init_weights(spec, seed=0).weights
+    weights = weights[1:] if cut == "count" else [weights[0][:, :-1], *weights[1:]]
+    with pytest.raises(ShapeError):
+        train(CrpnnModel(spec, weights), quadratic_dataset(), TrainConfig(epochs=2))
+
+
 @pytest.mark.parametrize("kind", ["int64", "read-only"])
 def test_train_steps_on_the_models_params_not_on_the_arrays_it_was_built_from(kind):
     spec = NetworkSpec.crpnn1(2, 1, 3)
@@ -657,20 +704,28 @@ def test_train_config_rejects_rates_that_are_not_positive_and_finite(name, value
 
 @pytest.mark.parametrize("batch_size", [None, 8])
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
-def test_train_steps_the_models_params_in_place(variant, batch_size):
+def test_train_writes_back_into_the_callers_arrays(variant, batch_size):
+    # the caller's arrays are the model's params and its weight views: train steps them in place
     spec = NetworkSpec.create(variant, 2, 1, 7)
     model = init_weights(spec, seed=1)
+    ds = dataset_for(spec, 37, 6)
     params, weights, start = model.params, model.weights, model.params.copy()
     config = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=4)
-    trained, _ = train(model, dataset_for(spec, 37, 6), config)
+    fortran = CrpnnModel(spec, [w.copy(order="F") for w in model.weights])
+    single = CrpnnModel(spec, [w.astype(np.float32) for w in model.weights])
+    single_as_double = CrpnnModel(spec, [w.astype(np.float32).astype(np.float64) for w in model.weights])
+    trained, _ = train(model, ds, config)
     assert trained is model and model.params is params and model.weights is weights
     assert not np.array_equal(params, start)
+    # the packed copy of Fortran or float32 weights trains as its float64 C copy, bit for bit
+    for odd, plain in ((fortran, model), (single, train(single_as_double, ds, config)[0])):
+        train(odd, ds, config)
+        np.testing.assert_array_equal(odd.params, plain.params, strict=True)
 
 
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
 @pytest.mark.parametrize("samples, batch_size", [(5000, None), (2000, 32), (5000, 32)])
-def test_train_wide_backward_and_forward_operands_start_on_64_byte_boundaries(
-        monkeypatch, variant, samples, batch_size):
+def test_train_operands_start_on_64_byte_boundaries(monkeypatch, variant, samples, batch_size):
     # the benchmark widths: K=5000 full batch, B=32 with short batches of 16 and 8;
     # a public backward pass over the whole dataset is wide at both K
     import crpnn.network
