@@ -13,13 +13,17 @@ variant) in a temporary directory, and prints one ``sha256  file`` line per
 output.  It then runs a small ``compare`` on the generated ``data.csv``
 (both variants at order 8, two seeds from the workload's, 3 epochs, the
 workload's learning rate and batch size) and prints the digest of its
-table with the wall-time ``seconds`` column removed.  Last, for each seed it
-runs a small ``bench`` (``BENCH_ARGV``) and prints the digest of its JSON
-report with the four ``*_seconds_*`` fields removed, which leaves the
-protocol and the analytic and instrumented multiply counts.  Dataset, model,
-metrics, eval, spectrum, compare and bench outputs must stay byte-identical
-across engine, training and CLI changes, so the output of two commits must
-be equal.
+table with the wall-time ``seconds`` column removed.  It also runs the
+workload's ``Run.setup()``, which steps each variant through one epoch of
+public ``backward`` + ``sgd_step`` calls and one ``train`` epoch, and prints
+one line per variant: the digests of the weights after each, then the
+``train`` epoch's final MSE; a failed set-up check exits non-zero.  Last,
+for each seed it runs a small ``bench`` (``BENCH_ARGV``) and prints the
+digest of its JSON report with the four ``*_seconds_*`` fields removed,
+which leaves the protocol and the analytic and instrumented multiply
+counts.  Dataset, model, metrics, eval, spectrum, compare, set-up and bench
+outputs must stay byte-identical across engine, training and CLI changes,
+so the output of two commits must be equal.
 
 As ``perfbench/run.py`` does, the package is imported from ``src/`` of the
 checkout this file sits in, and BLAS runs single-threaded.  With
@@ -61,6 +65,10 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _weights_sha256(weights):
+    return _sha256(b"".join(w.tobytes() for w in weights))
+
+
 def digest(src):
     """Print the digest lines of the package imported from the directory ``src``."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -90,6 +98,13 @@ def digest(src):
                     table = _run(cli, name, seed, compare)
                     rows = "".join(line.rsplit(",", 1)[0] + "\n" for line in table.splitlines())
                     print(f"{_sha256(rows.encode())}  {name}/seed{seed}/compare.csv without seconds")
+                    run.setup()
+                    if run.tally.failed:
+                        raise SystemExit(f"{name} seed {seed}: Run.setup checks failed: {run.tally.reasons}")
+                    for v in workloads.VARIANTS:
+                        weights, mse = run.after_train[v]
+                        print(f"{_weights_sha256(run.after_epoch[v])}  {_weights_sha256(weights)}  "
+                              f"{mse!r}  {name}/seed{seed}/{v} Run.setup epoch, train")
     for seed in SEEDS:
         report = json.loads(_run(cli, "bench", seed, BENCH_ARGV + ["--seed", str(seed)]))
         report["results"] = [{k: v for k, v in result.items() if "_seconds_" not in k}

@@ -15,7 +15,7 @@ on the caller's slots.  ``predict_batch``, ``training.backward`` and
 ``training.train`` differ only in where those buffers come from.
 
 A model's weights are views into its one float64 vector ``params``, laid out
-by ``_packed`` as ``training.backward`` lays out its gradients.  Only the
+by ``_packed``, as is the gradient that ``training.backward`` returns.  Only the
 constructor checks and converts weights; passes read the views as they are,
 and ``training.sgd_step`` and ``training.train`` update ``params`` in place.
 """
@@ -113,9 +113,6 @@ class CrpnnModel:
 
     def copy(self):
         return CrpnnModel(self.spec, self.weights)
-
-    def parameter_count(self):
-        return self.params.size
 
 
 def _aligned_empty(shape):

@@ -1,6 +1,6 @@
 """Backpropagation learning rule, training loop and gradient checking.
 
-The gradients returned by :func:`backward` are exact gradients of the
+The gradient returned by :func:`backward` is the exact gradient of the
 internal loss J = (1/(2B)) * sum over the batch of ||y_hat - y||^2, the
 unique quadratic for which the output seed is plainly (y_hat - y) and the
 weight update carries a 1/B prefactor.  The reported metric is the plain
@@ -104,15 +104,13 @@ def _check_batch(model, inputs, targets):
 
 
 def backward(model, inputs, targets):
-    """Gradients of the internal loss w.r.t. every weight matrix.
+    """Gradient of the internal loss w.r.t. ``model.params``.
 
-    Returns one gradient matrix per weight, shape-congruent with the model;
-    all of them, the output one included, are views of one float64 vector
-    laid out as the model's ``params``.  The pass allocates
-    the forward cache and the gradients; a narrow pass (see
+    Returns a fresh C-contiguous float64 vector laid out as ``params``.  The
+    pass allocates the forward cache and the gradient; a narrow pass (see
     ``ERROR_BLOCK_BUDGET``) also allocates one error block the size of the
-    cache, and a wide one (K=5000 at n=5) nothing more.
-    Overflow raises FloatingPointError, not a warning.
+    cache, and a wide one (K=5000 at n=5) nothing more.  Overflow raises
+    FloatingPointError, a non-finite batch ValueError, not a warning.
     """
     inputs, targets = _check_batch(model, inputs, targets)
     spec, weights = model.spec, model.weights
@@ -127,8 +125,14 @@ def backward(model, inputs, targets):
         xc = _fill_inputs(spec, inputs, xa, operands[-1])
         y = _layers(weights, xa, xc, cache, np.empty(targets.shape))
         d = np.subtract(y, targets, out=y)
-        _errors(weights, xa, xc, cache, d, grad, grads, _error_block(stack, grad, np.empty))
-    return grads
+        try:
+            _errors(weights, xa, xc, cache, d, grad, grads, _error_block(stack, grad, np.empty))
+        except FloatingPointError:  # only now is the batch checked: a finite one pays nothing
+            for name, arr in (("batch inputs", inputs), ("batch targets", targets)):
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{name} contains non-finite entries") from None
+            raise
+    return grad
 
 
 # A narrow pass writes its hidden errors into a (hidden, n+1, B) block of
@@ -200,19 +204,15 @@ def _errors(weights, xa, xc, cache, d, grad, grads, block):
         )
 
 
-def sgd_step(model, grads, learning_rate):
-    """In-place descent step W <- W - learning_rate * dW, in one update of
-    ``model.params``: the gradients, checked against the weights' count and shapes,
-    stack in its order (each has n+1 columns).  Rounds as ``w -= learning_rate * g``."""
-    if len(grads) != len(model.weights):
-        raise ShapeError(
-            f"got {len(grads)} gradients for {len(model.weights)} weight matrices"
-        )
-    for w, g in zip(model.weights, grads):
-        if w.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != weight shape {w.shape}")
+def sgd_step(model, grad, learning_rate):
+    """In-place step params <- params - learning_rate * grad, rounded as
+    ``w -= learning_rate * g``, for ``grad`` laid out as ``params`` (as from
+    :func:`backward`); any other ``grad`` raises ShapeError, ``params`` untouched."""
     params = model.params
-    params -= (learning_rate * np.concatenate(grads)).ravel()
+    shape = grad.shape if isinstance(grad, np.ndarray) else type(grad).__name__
+    if shape != params.shape:
+        raise ShapeError(f"gradient {shape} is not laid out as params {params.shape}")
+    params -= learning_rate * grad
     return model
 
 
@@ -316,10 +316,11 @@ def grad_check(model, inputs, targets):
     perturbed weight, returns inf.  Guarded to small models to keep the
     2-forward-passes-per-weight cost sane.
     """
-    if model.parameter_count() > GRAD_CHECK_MAX_PARAMS:
+    params = model.params
+    if params.size > GRAD_CHECK_MAX_PARAMS:
         raise ValueError(
             f"grad_check is limited to {GRAD_CHECK_MAX_PARAMS} parameters, "
-            f"model has {model.parameter_count()}"
+            f"model has {params.size}"
         )
     analytic = backward(model, inputs, targets)
 
@@ -327,19 +328,17 @@ def grad_check(model, inputs, targets):
         return model.spec.m / 2.0 * loss_mse(predict_batch(model, inputs), targets)
 
     worst = 0.0
-    for w, g in zip(model.weights, analytic):
-        for idx in np.ndindex(w.shape):
-            h = GRAD_CHECK_STEP * max(1.0, abs(w[idx]))
-            orig = w[idx]
-            w[idx] = orig + h
-            plus = loss()
-            w[idx] = orig - h
-            minus = loss()
-            w[idx] = orig
-            numeric = (plus - minus) / (2.0 * h)
-            gap = abs(g[idx] - numeric) / max(abs(g[idx]), abs(numeric), GRAD_CHECK_FLOOR)
-            if not math.isfinite(gap):
-                return math.inf
-            if gap > worst:
-                worst = gap
+    for i, g in enumerate(analytic):
+        orig = params[i]
+        h = GRAD_CHECK_STEP * max(1.0, abs(orig))
+        params[i] = orig + h
+        plus = loss()
+        params[i] = orig - h
+        minus = loss()
+        params[i] = orig
+        numeric = (plus - minus) / (2.0 * h)
+        gap = abs(g - numeric) / max(abs(g), abs(numeric), GRAD_CHECK_FLOOR)
+        if not math.isfinite(gap):
+            return math.inf
+        worst = max(worst, gap)
     return worst

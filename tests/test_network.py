@@ -464,7 +464,7 @@ def assert_packed(model):
     laid out as the hidden matrices in order and then the output matrix."""
     params = model.params
     assert params.dtype == np.float64 and params.ndim == 1 and params.flags.c_contiguous
-    assert params.size == model.parameter_count() == sum(math.prod(s) for s in model.spec.weight_shapes())
+    assert params.size == sum(math.prod(s) for s in model.spec.weight_shapes())
     assert [w.shape for w in model.weights] == model.spec.weight_shapes()
     assert all(w.dtype == np.float64 and w.flags.c_contiguous for w in model.weights)
     kept = params.copy()

@@ -38,15 +38,13 @@ def test_loss_mse_shape_mismatch():
 def test_backward_hand_example():
     # single affine output layer, one sample: grad = (prediction - target) * input^T
     model = CrpnnModel(NetworkSpec.crpnn1(1, 1, 1), [np.array([[1.0, 1.0]])])
-    grads = backward(model, [[2.0]], [[1.0]])
-    np.testing.assert_array_equal(grads[0], [[4.0, 2.0]])
+    np.testing.assert_array_equal(backward(model, [[2.0]], [[1.0]]), [4.0, 2.0], strict=True)
 
 
 def test_backward_zero_at_perfect_fit():
     model = CrpnnModel(NetworkSpec.crpnn1(1, 1, 1), [np.array([[1.0, 0.0]])])
     xs = np.array([[0.5, -0.5, 2.0]])
-    grads = backward(model, xs, xs.copy())
-    np.testing.assert_array_equal(grads[0], np.zeros((1, 2)))
+    np.testing.assert_array_equal(backward(model, xs, xs.copy()), np.zeros(2), strict=True)
 
 
 def test_backward_batch_equals_mean_of_single_samples():
@@ -55,10 +53,8 @@ def test_backward_batch_equals_mean_of_single_samples():
     xs = rng.uniform(-1, 1, size=(2, 6))
     ys = rng.uniform(-1, 1, size=(2, 6))
     whole = backward(model, xs, ys)
-    singles = [backward(model, xs[:, k : k + 1], ys[:, k : k + 1]) for k in range(6)]
-    for layer, g in enumerate(whole):
-        averaged = np.mean([s[layer] for s in singles], axis=0)
-        assert np.abs(g - averaged).max() <= 1e-12 * max(1.0, np.abs(g).max())
+    averaged = np.mean([backward(model, xs[:, k : k + 1], ys[:, k : k + 1]) for k in range(6)], axis=0)
+    assert np.abs(whole - averaged).max() <= 1e-12 * max(1.0, np.abs(whole).max())
 
 
 def test_backward_overflow_diagnostic():
@@ -68,22 +64,38 @@ def test_backward_overflow_diagnostic():
         backward(model, huge, np.ones((1, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_backward_blames_non_finite_batch_inputs(bad):
+    # zero inputs cannot overflow the pass; the batch is at fault
+    model = init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=0)
+    xs = np.zeros((2, 2))
+    xs[1, 0] = bad
+    with pytest.raises(ValueError, match="batch inputs contains non-finite entries"):
+        backward(model, xs, np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_backward_and_grad_check_blame_non_finite_batch_targets(bad):
+    model = init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=0)
+    for check in (backward, grad_check):
+        with pytest.raises(ValueError, match="batch targets contains non-finite entries"):
+            check(model, np.zeros((2, 2)), [[bad, 0.0]])
+
+
 def test_sgd_step_arithmetic():
     model = CrpnnModel(NetworkSpec.crpnn1(1, 1, 1), [np.array([[1.0, 1.0]])])
-    sgd_step(model, [np.array([[2.0, 0.0]])], 0.1)
+    sgd_step(model, np.array([2.0, 0.0]), 0.1)
+    np.testing.assert_allclose(model.params, [0.8, 1.0])
     np.testing.assert_allclose(model.weights[0], [[0.8, 1.0]])
 
 
 def test_sgd_step_zero_cases():
     model = init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=1)
-    before = [w.copy() for w in model.weights]
-    sgd_step(model, [np.zeros_like(w) for w in model.weights], 0.5)
-    for w, b in zip(model.weights, before):
-        np.testing.assert_array_equal(w, b)
-    grads = backward(model, np.ones((2, 1)), np.ones((1, 1)))
-    sgd_step(model, grads, 0.0)
-    for w, b in zip(model.weights, before):
-        np.testing.assert_array_equal(w, b)
+    before = model.params.copy()
+    sgd_step(model, np.zeros_like(model.params), 0.5)
+    np.testing.assert_array_equal(model.params, before)
+    sgd_step(model, backward(model, np.ones((2, 1)), np.ones((1, 1))), 0.0)
+    np.testing.assert_array_equal(model.params, before)
 
 
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
@@ -114,6 +126,31 @@ def test_grad_check_reports_inf_when_its_finite_differences_overflow():
     assert grad_check(model, np.array([[0.5, -0.25]]), np.zeros((1, 2))) == float("inf")
 
 
+@pytest.mark.parametrize("where", ["first", "middle hidden", "last"])
+@pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
+def test_grad_check_sees_one_wrong_gradient_entry(monkeypatch, variant, where):
+    # backward off by 1.0 at one entry of params: index 0, one half-way
+    # through the hidden matrices, or P-1 (the output matrix)
+    import crpnn.training
+
+    spec = NetworkSpec.create(variant, 2, 1, 5)
+    model = init_weights(spec, seed=2)
+    rng = np.random.default_rng(3)
+    xs, ys = rng.uniform(-1, 1, size=(2, 4)), rng.uniform(-1, 1, size=(1, 4))
+    assert grad_check(model, xs, ys) < 1e-5
+    hidden = (len(spec.weight_shapes()) - 1) * (spec.n + 1) ** 2
+    index = {"first": 0, "middle hidden": hidden // 2, "last": model.params.size - 1}[where]
+    true_backward = crpnn.training.backward
+
+    def skewed_backward(*args):
+        grad = true_backward(*args)
+        grad[index] += 1.0
+        return grad
+
+    monkeypatch.setattr(crpnn.training, "backward", skewed_backward)
+    assert grad_check(model, xs, ys) >= 0.5
+
+
 def test_grad_check_guards_large_models():
     model = init_weights(NetworkSpec.crpnn1(9, 1, 40), seed=0)
     with pytest.raises(ValueError, match="parameters"):
@@ -128,10 +165,10 @@ def test_single_small_step_decreases_the_loss():
             xs = rng.uniform(-1, 1, size=(2, 1))
             ys = rng.uniform(-1, 1, size=(1, 1))
             before = loss_mse(predict_batch(model, xs), ys)
-            grads = backward(model, xs, ys)
-            if all(np.all(g == 0) for g in grads):
+            grad = backward(model, xs, ys)
+            if not grad.any():
                 continue
-            sgd_step(model, grads, 1e-6)
+            sgd_step(model, grad, 1e-6)
             assert loss_mse(predict_batch(model, xs), ys) < before
 
 
@@ -269,11 +306,8 @@ def test_backward_is_bit_identical_to_allocating_reference(sizing, cols):
     rng = np.random.default_rng(cols)
     xs = rng.uniform(-1, 1, size=(sizing[1], cols))
     ts = rng.uniform(-1, 1, size=(sizing[2], cols))
-    grads = backward(model, xs, ts)
-    expected = reference_backward(model, xs, ts)
-    assert len(grads) == len(expected)
-    for g, g_ref in zip(grads, expected):
-        np.testing.assert_array_equal(g, g_ref)
+    expected = np.concatenate([g.ravel() for g in reference_backward(model, xs, ts)])
+    np.testing.assert_array_equal(backward(model, xs, ts), expected, strict=True)
 
 
 @pytest.mark.parametrize("sizing", ENGINE_SPECS)
@@ -282,28 +316,28 @@ def test_backward_leaves_caller_arrays_unmodified(sizing):
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1, 1, size=(sizing[1], 11))
     ts = rng.uniform(-1, 1, size=(sizing[2], 11))
-    before = [xs.copy(), ts.copy()] + [w.copy() for w in model.weights]
+    before = [xs.copy(), ts.copy(), model.params.copy()]
     first = backward(model, xs, ts)
-    kept = [g.copy() for g in first]
+    kept = first.copy()
     second = backward(model, xs, ts)
-    for arr, orig in zip([xs, ts, *model.weights], before):
+    for arr, orig in zip([xs, ts, model.params], before, strict=True):
         np.testing.assert_array_equal(arr, orig)
-    for g, g_again, g_kept in zip(first, second, kept):
-        assert not np.shares_memory(g, g_again)
-        np.testing.assert_array_equal(g, g_kept)
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, kept)
 
 
 @pytest.mark.parametrize("sizing", ENGINE_SPECS)
-def test_every_gradient_is_a_view_of_one_vector(sizing):
-    # laid out as the weights: hidden matrices in order, the output matrix last
+def test_backward_returns_one_fresh_vector_laid_out_as_params(sizing):
+    # laid out as params: hidden matrices in order, the output matrix last
     model = init_weights(NetworkSpec.create(*sizing), seed=6)
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1, 1, size=(sizing[1], 5))
-    grads = backward(model, xs, rng.uniform(-1, 1, size=(sizing[2], 5)))
-    flat = grads[0].base
-    assert flat.ndim == 1 and flat.size == sum(w.size for w in model.weights)
-    assert all(g.base is flat and g.flags.c_contiguous for g in grads)
-    np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in grads]))
+    ts = rng.uniform(-1, 1, size=(sizing[2], 5))
+    grad = backward(model, xs, ts)
+    assert grad.ndim == 1 and grad.dtype == np.float64 and grad.flags.c_contiguous
+    assert grad.size == model.params.size
+    assert not np.shares_memory(grad, backward(model, xs, ts))
+    assert not np.shares_memory(grad, model.params)
 
 
 def test_too_few_weight_matrices_raise_shape_error():
@@ -339,47 +373,43 @@ def test_float32_and_fortran_weights_give_float64_gradients(sizing, cols):
     xs = rng.uniform(-1, 1, size=(sizing[1], cols))
     ts = rng.uniform(-1, 1, size=(sizing[2], cols))
     for odd, plain in ((single, single_as_double), (fortran, model)):
-        for g, g_plain in zip(backward(odd, xs, ts), backward(plain, xs, ts), strict=True):
-            assert g.dtype == np.float64 and g.flags.c_contiguous
-            np.testing.assert_array_equal(g, g_plain)
+        grad = backward(odd, xs, ts)
+        assert grad.ndim == 1 and grad.dtype == np.float64 and grad.flags.c_contiguous
+        np.testing.assert_array_equal(grad, backward(plain, xs, ts), strict=True)
 
 
-def test_sgd_step_refuses_too_few_gradients_and_leaves_the_params():
-    model = init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=0)
-    grads = backward(model, np.zeros((2, 4)), np.ones((1, 4)))
-    before = model.params.copy()
-    with pytest.raises(ShapeError, match="got 2 gradients for 3 weight matrices"):
-        sgd_step(model, grads[1:], 0.1)
-    np.testing.assert_array_equal(model.params, before)
-
-
-@pytest.mark.parametrize("layer", [0, -1])
+@pytest.mark.parametrize("kind", ["one short", "one long", "2-D", "per-matrix list"])
 @pytest.mark.parametrize("variant", [CRPNN1, CRPNN2])
-def test_sgd_step_refuses_a_wrong_gradient_shape_and_leaves_the_params(variant, layer):
+def test_sgd_step_refuses_anything_but_a_params_vector_and_leaves_the_params(variant, kind):
     model = init_weights(NetworkSpec.create(variant, 3, 2, 7), seed=0)
-    grads = [np.ones_like(w) for w in model.weights]
-    rows, cols = grads[layer].shape
-    grads[layer] = np.ones((rows, cols - 1))
+    grad = backward(model, np.zeros((3, 4)), np.ones((2, 4)))
+    bad = {
+        "one short": grad[:-1],
+        "one long": np.append(grad, 0.0),
+        "2-D": grad.reshape(-1, 4),
+        "per-matrix list": [np.ones_like(w) for w in model.weights],
+    }[kind]
     before = model.params.copy()
-    message = rf"gradient shape \({rows}, {cols - 1}\) != weight shape \({rows}, {cols}\)"
-    with pytest.raises(ShapeError, match=message):
-        sgd_step(model, grads, 0.1)
+    with pytest.raises(ShapeError, match="is not laid out as params"):
+        sgd_step(model, bad, 0.1)
     np.testing.assert_array_equal(model.params, before)
 
 
 @pytest.mark.parametrize("sizing", ENGINE_SPECS)
 def test_sgd_step_is_the_per_matrix_update_bit_for_bit(sizing):
-    # for backward's gradients, views of one vector, and for a hand-made list
+    # for backward's gradient and for a hand-made vector, each split as the weights
     model = init_weights(NetworkSpec.create(*sizing), seed=5)
     rng = np.random.default_rng(1)
     xs = rng.uniform(-1, 1, size=(sizing[1], 9))
-    backward_grads = backward(model, xs, rng.uniform(-1, 1, size=(sizing[2], 9)))
-    hand_made = [rng.uniform(-1e3, 1e3, size=w.shape) for w in model.weights]
-    for grads in (backward_grads, hand_made):
+    backward_grad = backward(model, xs, rng.uniform(-1, 1, size=(sizing[2], 9)))
+    hand_made = rng.uniform(-1e3, 1e3, size=model.params.size)
+    ends = np.cumsum([w.size for w in model.weights])[:-1]
+    for grad in (backward_grad, hand_made):
+        grads = [g.reshape(w.shape) for g, w in zip(np.split(grad, ends), model.weights, strict=True)]
         for lr in (0.01, 0.3, 7.0):
             expected = [w - lr * g for w, g in zip(model.weights, grads)]
             params = model.params
-            assert sgd_step(model, grads, lr) is model and model.params is params
+            assert sgd_step(model, grad, lr) is model and model.params is params
             for w, w_ref in zip(model.weights, expected, strict=True):
                 np.testing.assert_array_equal(w, w_ref, strict=True)
 
@@ -457,15 +487,16 @@ def test_backward_allocates_only_cache_and_gradients(variant):
     backward(model, xs, ts)
     hidden = len(model.weights) - 1
     columns = (1 + hidden + (variant == CRPNN2)) * 6 + 1
-    expected = 8 * (columns * 5000 + sum(w.size for w in model.weights))
+    expected = 8 * (columns * 5000 + model.params.size)
     tracemalloc.start()
     try:
-        grads = backward(model, xs, ts)
+        grad = backward(model, xs, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert expected <= peak <= expected + 16 * 1024
-    assert all(g.base is grads[0].base is not None for g in grads[:-1])
+    # the vector owns its memory: it keeps no larger buffer alive
+    assert grad.base is None and grad.size == model.params.size
 
 
 def test_backward_at_power_one_keeps_no_power_slot():
