@@ -10,26 +10,28 @@ from 16 to 5000, prints the best-of-``REPEATS`` time per call of both entry
 points, each called as ``f(a, b, out=out)``, with the size of the output and
 whether the two results are equal bit for bit.  The products are:
 
-- ``W.A``, a layer's forward product (``kernels.matmul``);
-- ``Wt.D``, an error sent back through a layer (``kernels.matmul_tn``);
-- ``D.At``, a weight gradient (the 2-D ``kernels.matmul_nt``);
+- ``W.A``, a layer's forward product, ``kernels.matmul(W, A)``;
+- ``Wt.D``, an error sent back through a layer, ``kernels.matmul(W.T, D)``;
+- ``D.At``, a weight gradient, ``kernels.matmul(D, A.T)``;
 
 each with m = 6 rows of output or error (a hidden layer) and m = 1 (the
 output layer, whose ``Wt.D`` is the (6x1).(1xK) outer product).
 
-The last lines give the two routing rules of ``kernels``.  First, the
+The last lines check the routing rule of ``kernels.matmul``.  First, the
 crossover over every product whose inner size is more than 1: the largest
 output on which ``dot`` is faster for every such product up to that size,
-and the smallest output on which ``np.matmul`` is faster.
-``kernels.DOT_OUTPUT_BUDGET`` is set below it.  Second, for ``Wt.D`` at
-m = 1, whose inner size is 1 and which ``kernels.matmul_tn`` sends through
-``dot`` at every width, the number of widths at which ``dot`` is faster.
-Both depend on the numpy and BLAS build, so re-run this script after
-changing either.
+and the smallest output on which ``np.matmul`` is faster, then the
+committed ``kernels.DOT_OUTPUT_BUDGET`` and whether it lies below that
+crossover.  Second, for ``Wt.D`` at m = 1, whose inner size is 1 and which
+``kernels.matmul`` sends through ``dot`` at every width, the number of
+widths at which ``dot`` is faster.  Both depend on the numpy and BLAS
+build, so re-run this script after changing either: a budget that no
+longer lies below the crossover shows there.
 """
 
 import math
 import os
+import sys
 import time
 
 WIDTHS = (16, 32, 64, 128, 256, 512, 682, 850, 1000, 1200, 1365, 2000, 3000, 5000)
@@ -39,7 +41,7 @@ CALLS = 300
 
 
 def operands(np, rng, product, m, cols):
-    """(a, b, out) of one product, with the views the kernels pass."""
+    """(a, b, out) of one product, with the views the engine passes to ``kernels.matmul``."""
     w = rng.uniform(-1, 1, (m, WIDTH))
     act = rng.uniform(-1, 1, (WIDTH, cols))
     err = rng.uniform(-1, 1, (m, cols))
@@ -71,6 +73,9 @@ def main():
         os.environ[var] = "1"
     import numpy as np
 
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    from crpnn import kernels
+
     rng = np.random.default_rng(0)
     print(f"numpy {np.__version__}, n=5, one BLAS thread, "
           f"best of {REPEATS} x {CALLS} calls, time per call in us")
@@ -94,6 +99,10 @@ def main():
     if lost:
         nbytes, product, m, cols = lost
         print(f"inner size > 1: np.matmul is first faster at {nbytes} bytes ({product}, m={m}, K={cols})")
+    budget = kernels.DOT_OUTPUT_BUDGET
+    verdict = "lies below" if budget <= fits else "does NOT lie below"
+    print(f"kernels.DOT_OUTPUT_BUDGET = {budget} bytes {verdict} the crossover "
+          f"(dot faster up to {fits} bytes)")
     wins = sum(t_dot < t_mm for *_, t_mm, t_dot in outer)
     print(f"inner size 1 (Wt.D, m=1), sent through dot at every width: dot is faster at "
           f"{wins} of {len(outer)} widths")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import hadamard, matmul, power
+from .kernels import hadamard, matmul
 from .linalg import ShapeError, as_array
 from .topology import TopologyPlan, plan_topology
 
@@ -154,13 +154,17 @@ def init_weights(spec, seed, scale=None):
 
 def _fill_inputs(spec, xcols, xa, xc, counter=None):
     """Write X~ (the columns of ``xcols`` over a row of ones) into ``xa`` and
-    return X~^c, c = ``spec.power``: written into ``xc`` for c > 1, while
-    X~^1 is ``xa`` itself and leaves ``xc`` untouched."""
+    return X~^c, c = ``spec.power``: for c > 1 written into ``xc`` by c-1
+    Hadamard products with X~ (never pow()), while X~^1 is ``xa`` itself
+    and leaves ``xc`` untouched."""
     xa[:-1] = xcols
     xa[-1] = 1.0
     if spec.power == 1:
         return xa
-    return power(xa, spec.power, out=xc, counter=counter)
+    hadamard(xa, xa, out=xc, counter=counter)
+    for _ in range(spec.power - 2):
+        hadamard(xc, xa, out=xc, counter=counter)
+    return xc
 
 
 def _layers(weights, xa, xc, slots, y, counter=None):

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .kernels import matmul
 from .linalg import ShapeError, as_array
 from .network import _aligned_empty, _fill_inputs, _layers, _packed, predict_batch
 
@@ -78,6 +79,8 @@ def loss_mse(predictions, targets):
         raise ShapeError(
             f"prediction shape {predictions.shape} != target shape {targets.shape}"
         )
+    if predictions.size == 0:
+        raise ShapeError(f"loss of empty operands of shape {predictions.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow yields inf, which train's divergence check reports
         diff = predictions - targets
@@ -116,9 +119,9 @@ def backward(model, inputs, targets):
     spec, weights = model.spec, model.weights
     hidden, width, cols = len(weights) - 1, spec.n + 1, inputs.shape[1]
     grad, grads = _packed(spec, np.empty)
-    # X~, cache slots, X~^c last for c > 1; aligned (see predict_batch) when wide, where it pays
-    wide = 8 * hidden * width * cols > ERROR_BLOCK_BUDGET
-    operands = (_aligned_empty if wide else np.empty)((hidden + 1 + (spec.power > 1), width, cols))
+    # X~, cache slots, X~^c last for c > 1; aligned (see predict_batch) when eager, where it pays
+    empty = np.empty if _stacks((hidden, width, cols)) else _aligned_empty
+    operands = empty((hidden + 1 + (spec.power > 1), width, cols))
     xa, stack = operands[0], operands[1 : hidden + 1]
     cache = [*stack]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,6 +153,11 @@ def backward(model, inputs, targets):
 ERROR_BLOCK_BUDGET = 512 * 1024  # bytes
 
 
+def _stacks(shape):
+    """Whether a pass whose (hidden, n+1, B) cache has ``shape`` runs the stacked chain."""
+    return 0 < 8 * math.prod(shape) <= ERROR_BLOCK_BUDGET
+
+
 def _error_block(stack, grad, empty):
     """For a forward cache held in the (hidden, n+1, B) array ``stack``:
     where the stacked gradient product pays (see ERROR_BLOCK_BUDGET), an
@@ -157,7 +165,7 @@ def _error_block(stack, grad, empty):
     the cache of layers 0..h-2, their dW in ``grad``); else None, the eager
     chain.  The views are formed once per buffer, not once per step: forming
     them in :func:`_errors` cost about 3 us of a 70 us minibatch step."""
-    if not 0 < stack.nbytes <= ERROR_BLOCK_BUDGET:
+    if not _stacks(stack.shape):
         return None
     hidden, width, _ = stack.shape
     block = empty(stack.shape)
@@ -184,16 +192,16 @@ def _errors(weights, xa, xc, cache, d, grad, grads, block):
             "scale inputs to [-1, 1] or lower the learning rate"
         )
     hidden = len(cache)
-    kernels.matmul_nt(d, cache[-1] if hidden else xa, out=grads[-1])
+    matmul(d, (cache[-1] if hidden else xa).T, out=grads[-1])
     errors = cache if block is None else block[0]
     for i in range(hidden - 1, -1, -1):
-        d = kernels.matmul_tn(weights[i + 1], d, out=errors[i])
+        d = matmul(weights[i + 1].T, d, out=errors[i])
         kernels.hadamard(d, xc if i == 0 else xa, out=d)
         if block is None:
-            kernels.matmul_nt(d, cache[i - 1] if i else xa, out=grads[i])
+            matmul(d, (cache[i - 1] if i else xa).T, out=grads[i])
     if block is not None:
         _, later_errors, earlier_cache, later_grads = block
-        kernels.matmul_nt(errors[0], xa, out=grads[0])
+        matmul(errors[0], xa.T, out=grads[0])
         kernels.matmul_nt(later_errors, earlier_cache, out=later_grads)
     grad *= 1.0 / xa.shape[1]
     if not np.isfinite(grad).all():

@@ -17,6 +17,7 @@ from crpnn.network import (
     CrpnnModel,
     ModelFormatError,
     NetworkSpec,
+    _fill_inputs,
     forward,
     init_weights,
     load_model,
@@ -433,6 +434,40 @@ def test_forward_leaves_caller_input_unmodified(sizing):
     predict_batch(model, xs)
     forward(model, xs[:, 3])
     np.testing.assert_array_equal(xs, before)
+
+
+def filled_inputs(power, cols=37):
+    """A CR-PNN II spec with n=6 whose plan has ``power``, its inputs, and X~
+    and X~^c as ``_fill_inputs`` writes them into nan-filled buffers with a
+    counter (orders 8..15 plan c = 1..8 at n=6)."""
+    spec = NetworkSpec.crpnn2(6, 1, 7 + power)
+    assert spec.power == power
+    xs = np.random.default_rng(power).uniform(-1, 1, size=(6, cols))
+    xa, xc = np.full((7, cols), np.nan), np.full((7, cols), np.nan)
+    counter = MultiplyCounter()
+    returned = _fill_inputs(spec, xs, xa, xc, counter)
+    return xs, xa, xc, returned, counter.count
+
+
+def test_fill_inputs_at_power_one_returns_x_tilde_and_leaves_xc_untouched():
+    xs, xa, xc, returned, count = filled_inputs(1)
+    assert returned is xa and count == 0
+    assert np.isnan(xc).all()
+    np.testing.assert_array_equal(xa, np.vstack([xs, np.ones((1, xs.shape[1]))]), strict=True)
+
+
+@pytest.mark.parametrize("power", range(2, 9))
+def test_fill_inputs_forms_the_power_by_repeated_hadamard_products(power):
+    # bit for bit the copy-then-multiply power, at (c-1)(n+1)K multiplies;
+    # the bias row stays 1
+    xs, xa, xc, returned, count = filled_inputs(power)
+    expected = xa.copy()
+    for _ in range(power - 1):
+        expected *= xa
+    assert returned is xc and count == (power - 1) * 7 * xs.shape[1]
+    np.testing.assert_array_equal(xc, expected, strict=True)
+    assert (xa[-1] == 1.0).all() and (xc[-1] == 1.0).all()
+    np.testing.assert_array_equal(xa[:-1], xs, strict=True)
 
 
 def test_too_few_weight_matrices_raise_shape_error():
