@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .datagen import Dataset, default_inputs
-from .linalg import MultiplyCounter
+from .linalg import MultiplyCounter, as_int
 from .network import CRPNN1, CRPNN2, NetworkSpec, init_weights, predict_batch
 from .topology import _mult_count
 from .training import TrainConfig, _check_rate, train
@@ -44,7 +44,9 @@ class BenchProtocol:
     learning_rate: float = 0.01
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", as_int("seed", self.seed))  # frozen
         for name in ("n", "m", "order", "samples", "forward_reps", "epochs", "runs"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         _check_rate("learning_rate", self.learning_rate)

@@ -49,29 +49,30 @@ def read_csv(data, error):
     """Split CSV bytes (or text) into its header and a lazy row iterator.
 
     The iterator yields ``(lineno, cells)`` for each non-blank row, every row
-    as wide as the header.  Malformed input raises ``error``, a
-    :class:`FormatError` subclass; rows are checked only as they are read,
-    so a caller's header check still comes first.
+    as wide as the header, ``lineno`` the line the row ends on.  Malformed
+    input raises ``error``, a :class:`FormatError` subclass; rows are checked
+    only as they are read, so a caller's header check still comes first.
     """
-    records = _records(csv.reader(io.StringIO(decode(data, error))), error)
-    header = next(records, None)
+    rows = _rows(csv.reader(io.StringIO(decode(data, error))), error)
+    _, header = next(rows, (1, None))
     if header is None:
         raise error("missing header", line=1)
-    return header, _rows(records, len(header), error)
+    return header, rows
 
 
-def _records(reader, error):
-    """The reader's records; a :class:`csv.Error` raises ``error`` at its line."""
+def _rows(reader, error):
+    """``(reader.line_num, cells)`` for the reader's first record, then for
+    each non-blank record after it, which must be as wide as the first; a
+    :class:`csv.Error` or a wrong width raises ``error`` at its line."""
+    width = None
     try:
-        yield from reader
+        for cells in reader:
+            if width is None:
+                width = len(cells)
+            elif not cells:
+                continue
+            elif len(cells) != width:
+                raise error(f"expected {width} cells, got {len(cells)}", line=reader.line_num)
+            yield reader.line_num, cells
     except csv.Error as exc:
         raise error(f"malformed CSV: {exc}", line=reader.line_num) from exc
-
-
-def _rows(records, width, error):
-    for lineno, cells in enumerate(records, start=2):
-        if not cells:
-            continue
-        if len(cells) != width:
-            raise error(f"expected {width} cells, got {len(cells)}", line=lineno)
-        yield lineno, cells

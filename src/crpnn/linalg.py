@@ -4,6 +4,7 @@ The products live in :mod:`crpnn.kernels`, which check nothing: callers
 check shapes once per pass and pass a :class:`MultiplyCounter` to count.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,15 @@ def as_array(x, ndim=None, name="operand"):
     if ndim is not None and arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     return arr
+
+
+def as_int(name, value):
+    """``value`` as a Python int by :func:`operator.index`, which takes a numpy
+    integer or a bool; anything else raises ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_finite(arr, name="array"):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import hadamard, matmul
-from .linalg import ShapeError, as_array
+from .linalg import ShapeError, as_array, as_int
 from .topology import TopologyPlan, plan_topology
 
 CRPNN1 = "crpnn1"
@@ -52,6 +52,8 @@ class NetworkSpec:
     plan: TopologyPlan | None = field(init=False, default=None)
 
     def __post_init__(self):
+        for name in ("n", "m", "order"):  # frozen: not through __setattr__
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.variant == CRPNN2:

@@ -18,8 +18,8 @@ Backward chain, innermost layer last (X~ is the bias-augmented input):
 * per layer:          dW = (1/B) dZ A_prev^T,   dA_prev = W^T dZ
 
 A wide pass forms each hidden dW as soon as its dZ exists.  A narrow one
-(see ``ERROR_BLOCK_BUDGET``) keeps every hidden dZ until the chain ends and
-then forms all hidden dW in two products, the second over a stack.
+(see ``ERROR_BLOCK_BUDGET``) does so for layer 0 only, and forms the dW of
+layers 1..h-1 after the chain in one product over a stack.
 """
 
 import math
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import matmul
-from .linalg import ShapeError, as_array
+from .linalg import ShapeError, as_array, as_int
 from .network import _aligned_empty, _fill_inputs, _layers, _packed, predict_batch
 
 DIVERGENCE_CEILING = 1e12
@@ -52,10 +52,13 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_rate("learning_rate", self.learning_rate)
+        self.epochs, self.seed = as_int("epochs", self.epochs), as_int("seed", self.seed)
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if self.batch_size is not None:
+            self.batch_size = as_int("batch_size", self.batch_size)
+            if self.batch_size < 1:
+                raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.lr_decay is not None:
             _check_rate("lr_decay", self.lr_decay)
 
@@ -139,10 +142,10 @@ def backward(model, inputs, targets):
 
 
 # A narrow pass writes its hidden errors into a (hidden, n+1, B) block of
-# their own and forms every hidden dW after the chain, in two products; a
-# wide one forms each dW as soon as its error exists.  Full-batch train step
-# on one thread at n=5, order 14, median stacked time / eager time over 60
-# alternating pairs (block size), with 2-D products through ndarray.dot:
+# their own and forms layers 1..h-1's dW after the chain in one stacked
+# product; a wide one forms each dW as soon as its error exists.  Full-batch
+# train step on one thread at n=5, order 14, median stacked time / eager time
+# over 60 alternating pairs (block size), with 2-D products through ndarray.dot:
 #   CR-PNN I, 13 hidden:  0.89 at B=32 (20 KiB), 0.99 at 512 (312 KiB),
 #     0.98 at 768 (468 KiB), 1.01 at 896 (546 KiB), 1.04 at 1024 (624 KiB),
 #     1.27 at 2000, 1.34 at 5000
@@ -162,9 +165,10 @@ def _error_block(stack, grad, empty):
     """For a forward cache held in the (hidden, n+1, B) array ``stack``:
     where the stacked gradient product pays (see ERROR_BLOCK_BUDGET), an
     error block from ``empty`` as (its per-layer slots, its layers 1..h-1,
-    the cache of layers 0..h-2, their dW in ``grad``); else None, the eager
-    chain.  The views are formed once per buffer, not once per step: forming
-    them in :func:`_errors` cost about 3 us of a 70 us minibatch step."""
+    the cache of layers 0..h-2, their dW in ``grad``), the stacked
+    product's operands; else None, the eager chain.  The views are formed
+    once per buffer, not once per step: forming them in :func:`_errors`
+    cost about 3 us of a 70 us minibatch step."""
     if not _stacks(stack.shape):
         return None
     hidden, width, _ = stack.shape
@@ -178,11 +182,11 @@ def _errors(weights, xa, xc, cache, d, grad, grads, block):
     after a forward pass that kept its cache in the slots ``cache`` and whose
     output seed d = y - t the caller formed in ``d``.
 
-    With ``block`` from :func:`_error_block`, hidden layer i's error goes into
-    slot i of the error block, and after the chain layer 0's dW is one
-    product against X~ and layers 1..h-1 one stacked product against the
-    cache.  With ``block`` None it goes into ``cache[i]``, whose output the
-    gradient of layer i+1 has already read, and its dW is formed at once.
+    Hidden layer i's error goes into slot i of the error block when ``block``
+    is from :func:`_error_block`, else into ``cache[i]``, whose output the
+    gradient of layer i+1 has already read.  Each dW is formed as soon as
+    its error exists, except that with ``block`` those of layers 1..h-1 are
+    one stacked product against the cache after the chain.
     ``grad`` is scaled by 1/B and checked once.  Raises FloatingPointError
     if ``d`` or a gradient is non-finite; callers run it under ``np.errstate``.
     """
@@ -197,11 +201,10 @@ def _errors(weights, xa, xc, cache, d, grad, grads, block):
     for i in range(hidden - 1, -1, -1):
         d = matmul(weights[i + 1].T, d, out=errors[i])
         kernels.hadamard(d, xc if i == 0 else xa, out=d)
-        if block is None:
+        if block is None or i == 0:
             matmul(d, (cache[i - 1] if i else xa).T, out=grads[i])
     if block is not None:
         _, later_errors, earlier_cache, later_grads = block
-        matmul(errors[0], xa.T, out=grads[0])
         kernels.matmul_nt(later_errors, earlier_cache, out=later_grads)
     grad *= 1.0 / xa.shape[1]
     if not np.isfinite(grad).all():
@@ -237,14 +240,16 @@ def train(model, dataset, config):
     epoch ends with a forward pass over the dataset for its MSE.
 
     The dataset is checked once, before the first step.  The gradients are
-    packed into one float64 vector laid out as ``model.params``, X~, X~^c and
-    the targets written once as rows of one block over the dataset, and each
-    batch width (at most two) gets its buffers once.  A minibatch step gathers
-    its columns with one ``take`` (a full-batch step gathers nothing), runs
-    forward and backward there (a width within ``ERROR_BLOCK_BUDGET`` also
-    gets its error block once) and updates ``model.params`` in place with
-    ``g *= lr; params -= g``, rounding as ``w -= lr * g``.  When the call
-    raises, the model keeps the steps taken before the error.
+    packed into one float64 vector laid out as ``model.params``.  Each width
+    among the dataset, the batch and the last batch (at most three, the
+    dataset's first) gets its buffers once: X~, X~^c and target rows in one
+    block, the cache, the output and (within ``ERROR_BLOCK_BUDGET``) an error
+    block.  The dataset's block is written once and its set runs the metric
+    pass.  A minibatch step gathers its columns from there with one ``take``
+    (a full-batch step gathers nothing), runs forward and backward on its
+    width's set and updates ``model.params`` in place with ``g *= lr;
+    params -= g``, rounding as ``w -= lr * g``.  When the call raises, the
+    model keeps the steps taken before the error.
     """
     inputs, targets = _check_batch(model, dataset.inputs, dataset.targets)
     spec, weights, params = model.spec, model.weights, model.params
@@ -259,25 +264,20 @@ def train(model, dataset, config):
         grad, grads = _packed(spec, _aligned_empty)
         # X~, X~^c (c > 1) and the targets share one block: one take per step
         rows = width * (1 + (spec.power > 1))
-        full = _aligned_empty((rows + spec.m, total))
-        xa = full[:width]
-        xc = _fill_inputs(spec, inputs, xa, full[width:rows])
+        work = {}  # per width, the dataset's first: block, its split, cache, output, error block
+        for cols in (total, batch, total % batch):
+            if cols and cols not in work:
+                data = _aligned_empty((rows + spec.m, cols))
+                split = data[:width], data[rows - width : rows], data[rows:]
+                stack = _aligned_empty((hidden, width, cols))
+                y = _aligned_empty((spec.m, cols))
+                work[cols] = data, split, [*stack], y, _error_block(stack, grad, _aligned_empty)
+        full, (xa, xc, _), slots, out, _ = work[total]
+        xc = _fill_inputs(spec, inputs, xa, xc)
         full[rows:] = targets
 
-        work = {}  # per batch width: its columns of full, split as full is, cache, output, error block
-        for cols in {batch, total % batch} - {0}:
-            data = full if cols == total else _aligned_empty((len(full), cols))
-            split = data[:width], data[rows - width:rows], data[rows:]
-            stack = _aligned_empty((hidden, width, cols))
-            y = _aligned_empty((spec.m, cols))
-            work[cols] = data, split, [*stack], y, _error_block(stack, grad, _aligned_empty)
-        if batch < total:
-            slots, out = [*_aligned_empty((2, width, total))], _aligned_empty(targets.shape)
-        else:
-            slots, out = work[total][2][:2], work[total][3]
-
         def metric():
-            return loss_mse(_layers(weights, xa, xc, slots, out), targets)
+            return loss_mse(_layers(weights, xa, xc, slots[:2], out), targets)
 
         def close_epoch(epoch, mse):
             nonlocal lr

@@ -1,7 +1,10 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
+from crpnn import network
 from crpnn.bench import COUNT_NOTE, BenchProtocol, BenchReport, run_bench
 from crpnn.kernels import backend_name
 from crpnn.topology import TopologyError, mult_count_crpnn1, mult_count_crpnn2
@@ -67,6 +70,36 @@ def test_protocol_validation():
     for rate in (float("nan"), float("inf"), 0.0):
         with pytest.raises(ValueError, match="learning_rate must be a positive finite number"):
             tiny_protocol(learning_rate=rate)
+
+
+def test_protocol_stores_numpy_and_bool_counts_as_ints():
+    protocol = tiny_protocol(order=np.int64(4), m=True, seed=np.int32(3))
+    assert (protocol.order, protocol.m, protocol.seed) == (4, 1, 3)
+    doc = json.loads(BenchReport(protocol).to_json())
+    assert (doc["protocol"]["order"], doc["protocol"]["m"], doc["protocol"]["seed"]) == (4, 1, 3)
+
+
+@pytest.mark.parametrize("name", ["runs", "order", "seed"])
+def test_protocol_refuses_a_count_that_is_not_an_integer(name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1.5$"):
+        tiny_protocol(**{name: 1.5})
+
+
+def test_run_bench_refuses_a_forward_pass_that_miscounts(monkeypatch):
+    # each of the 5 hidden layers' Hadamard products counts one multiply too many
+    hadamard = network.hadamard
+
+    def miscounting(a, b, *, out, counter=None):
+        if counter is not None:
+            counter.add(1)
+        return hadamard(a, b, out=out, counter=counter)
+
+    monkeypatch.setattr(network, "hadamard", miscounting)
+    analytic = mult_count_crpnn1(3, 1, 6) * 40
+    message = (f"instrumented count {analytic + 5} != analytic count {analytic} "
+               "for crpnn1 (n=3, m=1, order=6)")
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        run_bench(tiny_protocol())
 
 
 def test_nonstandard_input_dim_uses_uniform_inputs():

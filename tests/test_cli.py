@@ -229,6 +229,16 @@ def test_compare_refuses_fewer_than_one_seed_before_reading_or_writing(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("token", ["7-x", "9-7"])
+def test_compare_refuses_a_bad_order_token_before_reading_or_writing(tmp_path, monkeypatch, capsys, token):
+    monkeypatch.chdir(tmp_path)
+    assert main(["compare", "--orders", token, "--data", "d.csv", "--out", "c.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"crpnn compare: error: bad order token {token!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 _GEN = ["gen", "--n", "2", "--degree", "2", "--items", "3"]
 _TRAIN = ["train", "--variant", "crpnn1", "--order", "2", "--data", "d.csv", "--epochs", "2"]
 

@@ -42,6 +42,22 @@ def test_read_csv_skips_blank_lines_and_counts_them():
     assert list(rows) == [(3, ["1", "2"]), (5, ["3", "4"])]
 
 
+def test_a_quoted_cell_over_two_lines_does_not_shift_later_error_lines():
+    # a row's line is the one it ends on, for a bad cell and a wrong width alike
+    with pytest.raises(DatasetFormatError) as info:
+        read_dataset_csv(b'x1,y1\n"1\n",2\n3,x\n')
+    assert (str(info.value), info.value.line) == (
+        "line 4: non-numeric cell: could not convert string to float: 'x'", 4)
+    with pytest.raises(SpectrumFormatError) as info:
+        import_spectrum(b'e_1,output,coefficient\n"1\n",0,1.0\n2,0,abc\n')
+    assert (str(info.value), info.value.line) == (
+        "line 4: non-numeric cell: could not convert string to float: 'abc'", 4)
+    _, rows = read_csv(b'a,b\n"1\n",2\n\n3\n', FormatError)
+    assert next(rows) == (3, ["1\n", "2"])
+    with pytest.raises(FormatError, match="line 5: expected 2 cells, got 1"):
+        next(rows)
+
+
 def test_read_csv_errors_use_the_callers_class():
     with pytest.raises(DatasetFormatError, match="line 1: missing header") as info:
         read_csv(b"", DatasetFormatError)

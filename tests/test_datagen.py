@@ -58,6 +58,19 @@ def test_generator_capacity_error():
         gen_random_polynomial(1, 1, 3)
 
 
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((0, 3, 1), {}, "invalid request: n=0, max_degree=3, n_items=1"),
+    ((2, -1, 1), {}, "invalid request: n=2, max_degree=-1, n_items=1"),
+    ((2, 3, 0), {}, "invalid request: n=2, max_degree=3, n_items=0"),
+    ((2, 3, 1), {"coeff_low": 1.0, "coeff_high": 0.5}, "bad coefficient range [1.0, 0.5]"),
+    ((2, 3, 1), {"coeff_low": 0.0, "coeff_high": 0.0}, "bad coefficient range [0.0, 0.0]"),
+])
+def test_generator_refuses_a_bad_request_or_coefficient_range(args, kwargs, message):
+    with pytest.raises(ValueError) as info:
+        gen_random_polynomial(*args, **kwargs)
+    assert str(info.value) == message
+
+
 def test_generator_universe_bound():
     assert math.comb(1 + 1, 1) == 2  # the case above really has 2 monomials
     with pytest.raises(CapacityError, match="bound"):

@@ -7,6 +7,8 @@ import pytest
 
 from crpnn import kernels
 from crpnn.linalg import MultiplyCounter
+from crpnn.network import NetworkSpec
+from crpnn.training import _stacks
 
 
 def test_backend_name_is_known():
@@ -152,3 +154,29 @@ def test_kernel_counts_match_the_benchmark_formulas():
         counted = kernel(*args, out=np.empty(shape), counter=counter)
         assert counter.count == formulas[name](*args) > 0
         np.testing.assert_array_equal(counted, kernel(*args, out=np.empty(shape)))
+
+
+def _perfbench_workloads(monkeypatch):
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(root))  # workloads.py imports its siblings by name
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("variant", ["crpnn1", "crpnn2"])
+def test_each_input_selected_fork_has_a_benchmark_workload_on_each_side(monkeypatch, variant):
+    # the stacked/eager gradient chain and the dot/matmul product are chosen
+    # by operand width; a budget that put both workloads on one side would
+    # leave the other branch untimed
+    module = _perfbench_workloads(monkeypatch)
+    mini, paper = module.WORKLOADS["minibatch-l14"], module.WORKLOADS["paper-l14"]
+    narrow = [mini.batch_size, mini.samples % mini.batch_size]
+    assert narrow == [32, 16] and paper.batch_size is None and paper.samples == 5000
+    assert mini.orders[variant] == paper.orders[variant] == 14
+    spec = NetworkSpec.create(variant, module.N_INPUTS, 1, 14)
+    width, hidden = spec.n + 1, spec.order - spec.power
+    assert all(_stacks((hidden, width, cols)) for cols in narrow)
+    assert not _stacks((hidden, width, paper.samples))
+    assert 8 * width * mini.batch_size <= kernels.DOT_OUTPUT_BUDGET < 8 * width * paper.samples

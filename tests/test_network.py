@@ -169,6 +169,28 @@ def test_save_load_roundtrip_bit_exact():
     assert blob == again
 
 
+def test_numpy_and_bool_sizes_are_stored_as_ints_and_round_trip():
+    spec = NetworkSpec.crpnn2(np.int64(3), True, np.int32(9))
+    assert spec == NetworkSpec.crpnn2(3, 1, 9)
+    assert all(type(v) is int for v in (spec.n, spec.m, spec.order))
+    blob = save_model(init_weights(spec, seed=21))
+    assert json.loads(blob)["m"] == 1
+    assert save_model(load_model(blob)) == blob
+
+
+@pytest.mark.parametrize("name", ["n", "m", "order"])
+@pytest.mark.parametrize("value", [2.0, 2.5, "2", None])
+def test_a_spec_refuses_a_size_that_is_not_an_integer(name, value):
+    sizes = {"n": 2, "m": 1, "order": 5, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        NetworkSpec.create(CRPNN1, **sizes)
+
+
+def test_load_refuses_a_document_that_is_not_an_object():
+    with pytest.raises(ModelFormatError, match="^model document must be a JSON object$"):
+        load_model(b"[]")
+
+
 def test_load_preserves_predictions():
     model = init_weights(NetworkSpec.crpnn1(4, 1, 6), seed=2)
     probe = np.linspace(-1, 1, 4)

@@ -377,6 +377,18 @@ def test_import_errors_carry_line_numbers():
         import_spectrum(b"e_1,output,coefficient\nx,0,2.0\n")
 
 
+@pytest.mark.parametrize("data, line, message", [
+    (b"e_1,e_3,output,coefficient\n", 1, "exponent columns must be e_1,e_2"),
+    (b"e_1,output,coefficient\n1,-1,1.0\n", 2, "negative output index -1"),
+    (b"e_1,output,coefficient\n1,0,1.0\n2,0,nan\n", 3, "non-finite coefficient nan"),
+    (b"e_1,output,coefficient\n1,0,1.0\n1,0,2.0\n", 3, "duplicate monomial (1,) for output 0"),
+])
+def test_import_refuses_a_bad_header_index_coefficient_or_duplicate(data, line, message):
+    with pytest.raises(SpectrumFormatError) as info:
+        import_spectrum(data)
+    assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
+
+
 def test_import_refuses_an_output_index_above_the_guard():
     # one map is built per index up to the largest, so an unbounded index
     # would ask for 10^12 of them

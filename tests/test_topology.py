@@ -89,6 +89,8 @@ def test_mult_count_crpnn1():
     for n in (1, 3, 7):
         for m in (1, 2):
             assert mult_count_crpnn1(n, m, 1) == m * (n + 1)
+    with pytest.raises(ValueError, match="^invalid configuration n=0, m=1, order=1$"):
+        mult_count_crpnn1(0, 1, 1)
 
 
 def test_mult_count_crpnn2():

@@ -787,3 +787,39 @@ def test_train_operands_start_on_64_byte_boundaries(monkeypatch, variant, sample
     backward(model, ds.inputs, ds.targets)
     predict_batch(model, ds.inputs)
     assert offsets == {0}
+
+
+@pytest.mark.parametrize("xs_shape, ts_shape, message", [
+    ((2, 0), (1, 0), "batch is empty"),
+    ((3, 4), (1, 4), "model expects 2 input rows, got 3"),
+    ((2, 4), (2, 4), "model expects 1 target rows, got 2"),
+    ((2, 4), (1, 5), "batch has 4 input columns but 5 target columns"),
+])
+def test_backward_refuses_a_batch_that_does_not_fit_the_model(xs_shape, ts_shape, message):
+    model = init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=0)
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        backward(model, np.zeros(xs_shape), np.zeros(ts_shape))
+
+
+def test_train_refuses_a_batch_larger_than_the_dataset():
+    model = init_weights(NetworkSpec.crpnn1(2, 1, 3), seed=0)
+    with pytest.raises(ValueError, match="^batch_size 201 exceeds dataset size 200$"):
+        train(model, quadratic_dataset(), TrainConfig(epochs=1, batch_size=201))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"epochs": -1}, "epochs must be non-negative, got -1"),
+    ({"batch_size": 0}, "batch_size must be positive, got 0"),
+    ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+    ({"batch_size": 8.0}, "batch_size must be an integer, got 8.0"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+])
+def test_train_config_refuses_bad_counts(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainConfig(**fields)
+
+
+def test_train_config_stores_numpy_and_bool_counts_as_ints():
+    config = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8), seed=True)
+    assert (config.epochs, config.batch_size, config.seed) == (3, 8, 1)
+    assert all(type(v) is int for v in (config.epochs, config.batch_size, config.seed))
